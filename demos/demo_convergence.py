@@ -9,14 +9,15 @@ measure and the discretized fluid tail.
 from pathlib import Path
 
 from fluidq import convergence_experiment, load_scenario
+from fluidq.cli import report_to_text, summary_to_text
 
 scenario = load_scenario(Path(__file__).resolve().parent.parent
                          / "scenarios" / "underloaded_exp.scn")
 report = convergence_experiment(scenario, n_list=[10, 50, 200], replications=3)
 
 print("rows (one per n and seed):")
-print(report.to_text().rstrip())
+print(report_to_text(report).rstrip())
 print()
-print(report.summary_text().rstrip())
+print(summary_to_text(report).rstrip())
 print("\nGaps shrink roughly like 1/sqrt(n); the committed acceptance ladder "
       "runs n = 10, 100, 1000 with five seeds.")

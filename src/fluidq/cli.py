@@ -6,27 +6,28 @@
     fluidq gc-check --scenario s.scn --out dir    block empirical-measure deviations
 
 Common flags: --seed (base-seed override), --n (comma list override),
---quiet.  FLUIDQ_THREADS caps the (n, seed) fan-out.  Exit codes: 0 ok,
-2 configuration error, 3 numeric failure.  Every artifact header carries
-the scenario hash and the seed, and identical inputs produce byte-identical
-artifacts; on error, partially written artifacts are removed.
+--quiet.  Exit codes: 0 ok, 2 configuration error, 3 numeric failure.
+Every artifact header carries the scenario hash and the seed, and
+identical inputs produce byte-identical artifacts; on error, partially
+written artifacts are removed.  This module owns the artifact format: every
+table goes through ``_table``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .fluid import FluidAccuracyError, FluidSolverError, solution_to_text, solve, surface_to_text
-from .harness import convergence_experiment, gc_table_to_text, glivenko_cantelli_check, run_scenario_once
+from .fluid import FluidAccuracyError, FluidSolution, FluidSolverError, solve
+from .harness import ConvergenceReport, convergence_experiment, glivenko_cantelli_check, run_scenario_once
 from .laws import DensityRequiredError
-from .measures import atomic_to_text
+from .measures import AtomicMeasure
 from .scenario import ScenarioError, load_scenario, scenario_hash
-from .simulate import trajectory_to_text
+from .simulate import Trajectory
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -86,12 +87,90 @@ def _base_header(scenario, command: str, seed: int):
     ]
 
 
-def _threads() -> int:
-    raw = os.environ.get("FLUIDQ_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _table(header_lines, columns, rows, sep="\t") -> str:
+    """The artifact layout: one ``# `` line per header line, the column
+    names joined by ``sep`` (no line when there are none), then one line
+    per row of ``repr`` cells joined by ``sep``.  Cells must be Python
+    floats and ints, whose ``repr`` round-trips; numpy scalars print
+    differently."""
+    lines = [f"# {line}" for line in header_lines]
+    if columns:
+        lines.append(sep.join(columns))
+    lines.extend(sep.join(map(repr, row)) for row in rows)
+    return "".join(f"{line}\n" for line in lines)
+
+
+def solution_to_text(sol: FluidSolution, header_lines=()) -> str:
+    """Grid paths of a fluid solution: t, X, Q, B, S columns."""
+    paths = (sol.times, sol.count, sol.queue, sol.started, sol.drained)
+    return _table(header_lines, ("t", "X", "Q", "B", "S"), zip(*(p.tolist() for p in paths)))
+
+
+def surface_to_text(sol: FluidSolution, header_lines=()) -> str:
+    """Tail-surface matrix: one row per surface time, columns per x."""
+    xs = sol.x_grid.tolist()
+    header = [*header_lines, "x_grid: " + ",".join(map(repr, xs))]
+    columns = ["t"] + [f"z@{x!r}" for x in xs]
+    rows = ([t, *z] for t, z in zip(sol.surface_times.tolist(), sol.tail_surface.tolist()))
+    return _table(header, columns, rows)
+
+
+def trajectory_to_text(traj: Trajectory, header_lines=()) -> str:
+    """Simulated paths: time, X, Q, Z, B, S columns; counts are ints unless
+    the trajectory is scaled."""
+    cast = float if traj.scaled else int
+    counts = (traj.count, traj.queue, traj.in_service, traj.started)
+    paths = [traj.times.tolist(), *(map(cast, c.tolist()) for c in counts), traj.drained.tolist()]
+    return _table(header_lines, ("time", "X", "Q", "Z", "B", "S"), zip(*paths))
+
+
+def atomic_to_text(measure: AtomicMeasure) -> str:
+    """One ``location,weight`` line per atom."""
+    return _table((), (), zip(measure.locations.tolist(), measure.weights.tolist()), sep=",")
+
+
+def snapshots_to_text(traj: Trajectory, header_lines=()) -> str:
+    """Residual-work measures at the snapshot times, each under a
+    ``# t = ...`` line; an empty measure leaves one blank line."""
+    parts = [_table(header_lines, (), ())]
+    for sn in traj.snapshots:
+        parts.append(f"# t = {float(sn.time)!r}\n" + (atomic_to_text(sn.measure) or "\n"))
+    return "".join(parts)
+
+
+def report_to_text(report: ConvergenceReport, header_lines=()) -> str:
+    """One row per (n, seed): sup-norm gaps of X, Q and B, then the Prohorov
+    distance at each snapshot time; all gaps are nan when simulation-only."""
+    columns = ["n", "seed", "sup_X_gap", "sup_Q_gap", "sup_B_gap"]
+    columns += [f"rho@{t!r}" for t in report.snapshot_times]
+    rows = []
+    for r in report.rows:
+        if report.simulation_only:
+            gaps = [math.nan] * (3 + len(report.snapshot_times))
+        else:
+            gaps = [r.count_gap, r.queue_gap, r.starts_gap] + [d for _, d in r.measure_gaps]
+        rows.append([r.n, r.seed, *gaps])
+    return _table(header_lines, columns, rows)
+
+
+def summary_to_text(report: ConvergenceReport, header_lines=()) -> str:
+    """Human-readable per-n aggregates of a convergence report."""
+    if report.simulation_only:
+        body = [
+            f"{report.scenario_name}: simulation only (service law has no "
+            "Lipschitz density, no fluid target)"
+        ]
+    else:
+        body = [f"{report.scenario_name}: gap summary (x-grid step {report.x_grid_step})"]
+        for n, agg in report.per_n().items():
+            rho = ", ".join(
+                f"t={t:g}: {d:.4f}" for t, d in agg["mean_measure_gap"].items()
+            )
+            body.append(
+                f"  n={n:>6}  mean sup|X| gap {agg['mean_count_gap']:.5f}"
+                f"  max {agg['max_count_gap']:.5f}  mean rho [{rho}]"
+            )
+    return _table(header_lines, (), ()) + "\n".join(body) + "\n"
 
 
 def _sim_grid(scenario) -> np.ndarray:
@@ -113,11 +192,9 @@ def _cmd_simulate(scenario, writer: _Writer, n_list, seeds, say):
                 f"trajectory_n{n}_seed{seed}.tsv", trajectory_to_text(traj, header)
             )
             if traj.snapshots:
-                parts = [f"# {line}" for line in header]
-                for sn in traj.snapshots:
-                    parts.append(f"# t = {float(sn.time)!r}")
-                    parts.append(atomic_to_text(sn.measure).rstrip("\n"))
-                writer.write(f"snapshots_n{n}_seed{seed}.txt", "\n".join(parts) + "\n")
+                writer.write(
+                    f"snapshots_n{n}_seed{seed}.txt", snapshots_to_text(traj, header)
+                )
             say(f"simulate n={n} seed={seed}: {len(traj.events)} events")
 
 
@@ -138,17 +215,15 @@ def _cmd_solve(scenario, writer: _Writer, say):
 
 def _cmd_compare(scenario, writer: _Writer, n_list, seeds, say):
     report = convergence_experiment(
-        scenario, n_list=n_list, seeds=seeds, replications=len(seeds),
-        threads=_threads(),
+        scenario, n_list=n_list, seeds=seeds, replications=len(seeds)
     )
     header = _base_header(scenario, "compare", seeds[0]) + [
         f"n_list: {','.join(str(n) for n in n_list)}",
         f"seeds: {','.join(str(s) for s in seeds)}",
     ]
-    writer.write("report.tsv", report.to_text(header))
-    summary = "".join(f"# {line}\n" for line in header) + report.summary_text()
-    writer.write("summary.txt", summary)
-    say(report.summary_text().rstrip())
+    writer.write("report.tsv", report_to_text(report, header))
+    writer.write("summary.txt", summary_to_text(report, header))
+    say(summary_to_text(report).rstrip())
 
 
 def _cmd_gc_check(scenario, writer: _Writer, n_list, seed, say):
@@ -164,7 +239,7 @@ def _cmd_gc_check(scenario, writer: _Writer, n_list, seed, say):
         f"window_mass: {GC_WINDOW_MASS!r}",
         f"block_span: {GC_BLOCK_SPAN!r}",
     ]
-    writer.write("gc.tsv", gc_table_to_text(rows, header))
+    writer.write("gc.tsv", _table(header, ("n", "max_deviation"), rows))
 
 
 def main(argv=None) -> int:

@@ -15,7 +15,15 @@ marches in time windows sized a priori from the Lipschitz constants of the
 ingredients: over an invariant region |X| <= d3 given by a Gronwall-type
 growth bound, the fixed-point map contracts at factor <= 1/2 on windows of
 the computed length, and each window is Picard-iterated to convergence.
-All time integrals use the trapezoid rule on a uniform grid.
+That factor holds only where the computed length is at least one grid
+step.  Where the bound C is so large that the window floors at one step
+(on the shipped state_dependent scenario C*h is about 1304), the Picard
+iteration carries no a-priori guarantee; a window that does not converge
+is halved down to one step and then fails, and every solution is accepted
+only on its measured fixed-point defect.
+All time integrals use the trapezoid rule on a uniform grid, and one
+function, _history, evaluates the trapezoid history sum for both the
+solver and the defect.
 
 The tail surface z(t, x) of the limiting residual-work measure is then a
 midpoint Stieltjes sum against the increments of the cumulative
@@ -154,13 +162,24 @@ def _ingredients(params: FluidParams):
     return h1, h2, drain_coeff, svc.pdf
 
 
+def _product(*factors) -> float:
+    """Product of nonnegative factors in which zero times infinity is zero:
+    a constant that vanishes switches its term off even when the radius it
+    multiplies has overflowed."""
+    return 0.0 if 0.0 in factors else math.prod(factors)
+
+
 def window_length_steps(params: FluidParams):
-    """A-priori window size (in grid steps) making the map a contraction.
+    """A-priori window size (in grid steps) and the bound it comes from.
 
     Constants are taken over the invariant region |X| <= d3 from the
-    growth bound d3 = (F(0) + q0 + lam*T) * exp(k_sup * g_sup * T); the
-    window length h solves C*h = 1/2 and is then capped at T/10 and
-    floored at one grid step.
+    growth bound d3 = (F(0) + q0 + lam*T) * exp(k_sup * g_sup * T), which
+    is infinite when the exponential overflows; the window length h
+    solves C*h = 1/2 and is then capped at T/10 and floored at one grid
+    step.  The map contracts at factor <= 1/2 only when the floor is not
+    hit; otherwise C*h > 1/2 and the returned C says by how much.
+
+    Returns (steps, C, d3).
     """
     lam, q0, T = params.arrival_rate, params.initial_queue, params.horizon
     gb = params.service.density_bound
@@ -170,10 +189,16 @@ def window_length_steps(params: FluidParams):
     l1 = params.initial_tail.lipschitz + q0 * gb
     l2 = lam * gb
     d1 = params.initial_tail.total_mass + q0 + lam * T
-    d3 = d1 * math.exp(kb * gb * T)
-    drain_sup = d3 * kb                 # sup of (x-1)^+ k(x) over |x| <= d3+1
-    drain_lip = kb + d3 * lk
-    contraction = l1 * lk + l2 * lk * T + drain_sup * lg * lk * T + gb * drain_lip
+    try:
+        growth = math.exp(kb * gb * T)
+    except OverflowError:
+        growth = math.inf
+    d3 = _product(d1, growth)
+    drain_sup = _product(d3, kb)        # sup of (x-1)^+ k(x) over |x| <= d3+1
+    drain_lip = kb + _product(d3, lk)
+    contraction = (
+        l1 * lk + l2 * lk * T + _product(drain_sup, lg, lk, T) + gb * drain_lip
+    )
     if contraction > 0:
         h = 0.5 / contraction
     else:
@@ -222,6 +247,26 @@ def _trapezoid_weights(i0: int, i1: int, dt: float) -> np.ndarray:
     return w
 
 
+def _history(ingredients, drain: np.ndarray, i0: int, i1: int, dt: float):
+    """Trapezoid history sum of the count equation on rows i0+1..i1.
+
+    The right-hand side at those rows is ``fixed + gw @ coeff[: i1 + 1]``,
+    with coeff the drain coefficient (X - 1)^+ k(X) along the path and,
+    for K = ``drain`` and trapezoid weights w,
+
+        fixed[i] = h1(K_i) + sum_j w_ij h2(K_i - K_j),
+        gw[i, j] = g(K_i - K_j) w_ij.
+
+    Both depend on the path only through K.  Returns (fixed, gw).
+    """
+    h1, h2, _, g = ingredients
+    now = drain[i0 + 1 : i1 + 1]
+    d = now[:, None] - drain[None, : i1 + 1]
+    np.maximum(d, 0.0, out=d)
+    w = _trapezoid_weights(i0, i1, dt)
+    return h1(now) + (h2(d) * w).sum(axis=1), g(d) * w
+
+
 def solve_count_path(params: FluidParams, start: str = "constant"):
     """March the fixed-point equation for the scaled count over windows.
 
@@ -229,6 +274,11 @@ def solve_count_path(params: FluidParams, start: str = "constant"):
     continues the last solved value, "h1" seeds with the no-feedback
     response to the extrapolated drain.  Both must land on the same fixed
     point; the solver's uniqueness probe exploits that.
+
+    Under a constant rate k the drain is k*t whatever the iterate, so the
+    history kernels are built once per window; otherwise they are rebuilt
+    on every Picard iteration from the iterate's drain.  Either way only
+    one kernel is alive at a time.
 
     Returns (count path, SolveDiagnostics).
     """
@@ -238,7 +288,8 @@ def solve_count_path(params: FluidParams, start: str = "constant"):
     n_steps = params.steps
     dt = params.dt_effective
     times = params.times
-    h1, h2, drain_coeff, g = _ingredients(params)
+    ingredients = _ingredients(params)
+    h1, _, drain_coeff, _ = ingredients
     x = np.zeros(n_steps + 1)
     x[0] = params.initial_count
 
@@ -256,51 +307,36 @@ def solve_count_path(params: FluidParams, start: str = "constant"):
     drain = np.zeros(n_steps + 1)
     if constant_rate:
         drain[:] = rate(x[:1])[0] * times
-        k_all[:] = k_all[0]
     coeff = drain_coeff(x)
+
+    def follow(phi, i0, i1):
+        """Drain (unless constant) and drain coefficient along phi on rows
+        i0+1..i1."""
+        if not constant_rate:
+            k_all[i0 + 1 : i1 + 1] = rate(phi)
+            drain[i0 + 1 : i1 + 1] = drain[i0] + _cumtrapz(k_all[i0 : i1 + 1], dt)[1:]
+        coeff[i0 + 1 : i1 + 1] = drain_coeff(phi)
 
     i0 = 0
     pending = win_steps
     while i0 < n_steps:
         i1 = min(i0 + pending, n_steps)
-        m = i1 - i0
-        rows = np.arange(i0 + 1, i1 + 1)
-        w = _trapezoid_weights(i0, i1, dt)
         if start == "constant":
-            phi = np.full(m, x[i0])
+            phi = np.full(i1 - i0, x[i0])
         else:
             guess_drain = drain[i0] + float(rate(np.array([x[i0]]))[0]) * (
                 times[i0 + 1 : i1 + 1] - times[i0]
             )
             phi = h1(guess_drain)
-
-        h2_fixed = None
-        gw_fixed = None
-        if constant_rate:
-            d = drain[rows][:, None] - drain[None, : i1 + 1]
-            np.maximum(d, 0.0, out=d)
-            h2_fixed = (h2(d) * w).sum(axis=1)
-            gw_fixed = g(d) * w
-
+        gw = None
         converged = False
         last_change = math.inf
         for it in range(1, MAX_PICARD_ITERATIONS + 1):
-            if not constant_rate:
-                k_all[i0 + 1 : i1 + 1] = rate(phi)
-                drain[i0 + 1 : i1 + 1] = drain[i0] + _cumtrapz(
-                    k_all[i0 : i1 + 1], dt
-                )[1:]
-            coeff[i0 + 1 : i1 + 1] = drain_coeff(phi)
-            if constant_rate:
-                rhs = h1(drain[rows]) + h2_fixed + gw_fixed @ coeff[: i1 + 1]
-            else:
-                d = drain[rows][:, None] - drain[None, : i1 + 1]
-                np.maximum(d, 0.0, out=d)
-                rhs = (
-                    h1(drain[rows])
-                    + (h2(d) * w).sum(axis=1)
-                    + ((coeff[None, : i1 + 1] * g(d)) * w).sum(axis=1)
-                )
+            follow(phi, i0, i1)
+            if gw is None or not constant_rate:
+                gw = None  # release the old kernel before building the new one
+                fixed, gw = _history(ingredients, drain, i0, i1, dt)
+            rhs = fixed + gw @ coeff[: i1 + 1]
             change = float(np.max(np.abs(rhs - phi)))
             phi = rhs
             scale = 1.0 + float(np.max(np.abs(phi)))
@@ -321,10 +357,7 @@ def solve_count_path(params: FluidParams, start: str = "constant"):
                 f"a-priori bound {contraction:.3g}, radius {d3:.3g}"
             )
         x[i0 + 1 : i1 + 1] = phi
-        if not constant_rate:
-            k_all[i0 + 1 : i1 + 1] = rate(phi)
-            drain[i0 + 1 : i1 + 1] = drain[i0] + _cumtrapz(k_all[i0 : i1 + 1], dt)[1:]
-        coeff[i0 + 1 : i1 + 1] = drain_coeff(phi)
+        follow(phi, i0, i1)
         diag.windows.append((i0, i1, it, last_change))
         i0 = i1
         pending = win_steps
@@ -341,23 +374,18 @@ def fixed_point_defect(params: FluidParams, count: np.ndarray) -> float:
     if n != params.steps:
         raise ValueError("path length does not match the parameter grid")
     dt = params.dt_effective
-    h1, h2, drain_coeff, g = _ingredients(params)
+    ingredients = _ingredients(params)
+    h1, _, drain_coeff, _ = ingredients
     drain = cumulative_drain(count, params.rate, dt)
     coeff = drain_coeff(count)
     worst = abs(count[0] - float(h1(np.zeros(1))[0]))
     block = 256
-    for lo in range(1, n + 1, block):
-        hi = min(lo + block, n + 1)
-        rows = np.arange(lo, hi)
-        w = _trapezoid_weights(lo - 1, hi - 1, dt)[:, : hi]
-        d = drain[rows][:, None] - drain[None, :hi]
-        np.maximum(d, 0.0, out=d)
-        rhs = (
-            h1(drain[rows])
-            + (h2(d) * w).sum(axis=1)
-            + ((coeff[None, :hi] * g(d)) * w).sum(axis=1)
-        )
-        worst = max(worst, float(np.max(np.abs(count[rows] - rhs))))
+    for i0 in range(0, n, block):
+        i1 = min(i0 + block, n)
+        fixed, gw = _history(ingredients, drain, i0, i1, dt)
+        rhs = fixed + gw @ coeff[: i1 + 1]
+        del gw  # release this block's kernel before the next one is built
+        worst = max(worst, float(np.max(np.abs(count[i0 + 1 : i1 + 1] - rhs))))
     return worst
 
 
@@ -469,27 +497,3 @@ def solve(
         tail_surface=surface,
         diagnostics=diag,
     )
-
-
-def solution_to_text(sol: FluidSolution, header_lines=()) -> str:
-    """Delimited export of the grid paths: t, X, Q, B, S columns."""
-    out = [f"# {line}" for line in header_lines]
-    out.append("t\tX\tQ\tB\tS")
-    for i in range(sol.times.size):
-        out.append(
-            f"{float(sol.times[i])!r}\t{float(sol.count[i])!r}"
-            f"\t{float(sol.queue[i])!r}\t{float(sol.started[i])!r}"
-            f"\t{float(sol.drained[i])!r}"
-        )
-    return "\n".join(out) + "\n"
-
-
-def surface_to_text(sol: FluidSolution, header_lines=()) -> str:
-    """Tail-surface matrix: one row per surface time, columns per x."""
-    out = [f"# {line}" for line in header_lines]
-    out.append("# x_grid: " + ",".join(repr(float(v)) for v in sol.x_grid))
-    out.append("t\t" + "\t".join(f"z@{float(v)!r}" for v in sol.x_grid))
-    for i in range(sol.surface_times.size):
-        row = "\t".join(repr(float(v)) for v in sol.tail_surface[i])
-        out.append(f"{float(sol.surface_times[i])!r}\t{row}")
-    return "\n".join(out) + "\n"

@@ -3,14 +3,13 @@ empirical law-of-large-numbers checks for block empirical measures, and
 path-oscillation diagnostics.
 
 All stochastic outputs are deterministic functions of the seeds handed in;
-experiments fan out over (n, seed) with no shared mutable state and reports
-are assembled in key order regardless of completion order.
+experiments run one (n, seed) pair at a time and report rows in key order.
+Artifact formatting lives in the cli module.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,37 +65,6 @@ class ConvergenceReport:
             }
             out[n] = agg
         return out
-
-    def to_text(self, header_lines=()) -> str:
-        out = [f"# {line}" for line in header_lines]
-        snap_cols = "\t".join(f"rho@{t!r}" for t in self.snapshot_times)
-        out.append("n\tseed\tsup_X_gap\tsup_Q_gap\tsup_B_gap" + ("\t" + snap_cols if snap_cols else ""))
-        for r in self.rows:
-            cells = [str(r.n), str(r.seed)]
-            if self.simulation_only:
-                cells += ["nan", "nan", "nan"] + ["nan"] * len(self.snapshot_times)
-            else:
-                cells += [repr(r.count_gap), repr(r.queue_gap), repr(r.starts_gap)]
-                cells += [repr(d) for _, d in r.measure_gaps]
-            out.append("\t".join(cells))
-        return "\n".join(out) + "\n"
-
-    def summary_text(self) -> str:
-        if self.simulation_only:
-            return (
-                f"{self.scenario_name}: simulation only (service law has no "
-                "Lipschitz density, no fluid target)\n"
-            )
-        lines = [f"{self.scenario_name}: gap summary (x-grid step {self.x_grid_step})"]
-        for n, agg in self.per_n().items():
-            rho = ", ".join(
-                f"t={t:g}: {d:.4f}" for t, d in agg["mean_measure_gap"].items()
-            )
-            lines.append(
-                f"  n={n:>6}  mean sup|X| gap {agg['mean_count_gap']:.5f}"
-                f"  max {agg['max_count_gap']:.5f}  mean rho [{rho}]"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def discretize_fluid_measure(
@@ -174,7 +142,6 @@ def convergence_experiment(
     replications=None,
     seeds=None,
     solution: fluid_mod.FluidSolution | None = None,
-    threads: int | None = None,
 ) -> ConvergenceReport:
     """Run the scaled simulations and report sup-norm and Prohorov gaps
     against the fluid solution.
@@ -233,16 +200,8 @@ def convergence_experiment(
             mgaps.append((sn.time, d))
         return GapRow(n, seed, count_gap, queue_gap, starts_gap, tuple(mgaps))
 
-    keys = [(n, seed) for n in n_list for seed in seeds]
-    results = {}
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for key, row in zip(keys, pool.map(job, keys)):
-                results[key] = row
-    else:
-        for key in keys:
-            results[key] = job(key)
-    report.rows = [results[key] for key in sorted(results)]
+    keys = sorted({(n, seed) for n in n_list for seed in seeds})
+    report.rows = [job(key) for key in keys]
     return report
 
 
@@ -375,12 +334,3 @@ def weak_oscillation(times, values, delta: float, horizon: float | None = None) 
                 if cand < dp[i]:
                     dp[i] = cand
     return float(dp[n])
-
-
-def gc_table_to_text(rows, header_lines=()) -> str:
-    """Deviation table for the LLN check: one row per n."""
-    out = [f"# {line}" for line in header_lines]
-    out.append("n\tmax_deviation")
-    for n, dev in rows:
-        out.append(f"{n}\t{dev!r}")
-    return "\n".join(out) + "\n"

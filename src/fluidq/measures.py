@@ -102,16 +102,6 @@ class AtomicMeasure:
             raise ValueError("scale factor must be >= 0")
         return AtomicMeasure(self.locations, self.weights * factor)
 
-    def mass_below(self, x: float) -> float:
-        """Mass of [0, x), i.e. atoms with location strictly less than x."""
-        idx = np.searchsorted(self.locations, x, side="left")
-        return float(self.weights[:idx].sum())
-
-    def mass_at_most(self, x: float) -> float:
-        """Mass of [0, x]."""
-        idx = np.searchsorted(self.locations, x, side="right")
-        return float(self.weights[:idx].sum())
-
 
 def tail(measure: AtomicMeasure, x: float) -> float:
     """Mass of the closed half line [x, inf); atoms at exactly x count."""
@@ -275,47 +265,3 @@ class TailFunction:
         v = self.values[::-1]
         g = self.grid[::-1]
         return np.interp(level, v, g)
-
-
-def tail_function_agrees(tf: TailFunction, measure: AtomicMeasure) -> bool:
-    """Exact agreement of the two representations on the tail grid."""
-    sampled = TailFunction.from_atomic(measure, tf.grid)
-    return bool(np.all(sampled.values == tf.values))
-
-
-# -- delimited-text serialization -------------------------------------------
-
-def atomic_to_text(measure: AtomicMeasure) -> str:
-    lines = [
-        f"{float(x)!r},{float(w)!r}"
-        for x, w in zip(measure.locations, measure.weights)
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def atomic_from_text(text: str) -> AtomicMeasure:
-    pairs = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        x, w = line.split(",")
-        pairs.append((float(x), float(w)))
-    return AtomicMeasure.from_pairs(pairs)
-
-
-def tail_to_text(tf: TailFunction) -> str:
-    lines = [f"{float(x)!r},{float(v)!r}" for x, v in zip(tf.grid, tf.values)]
-    return "\n".join(lines) + "\n"
-
-
-def tail_from_text(text: str) -> TailFunction:
-    xs, vs = [], []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        x, v = line.split(",")
-        xs.append(float(x))
-        vs.append(float(v))
-    return TailFunction(xs, vs)

@@ -482,18 +482,3 @@ def scale_trajectory(traj: Trajectory, n: int) -> Trajectory:
         initial_count=traj.initial_count,
         scaled=True,
     )
-
-
-def trajectory_to_text(traj: Trajectory, header_lines: Sequence[str] = ()) -> str:
-    """Delimited export: time, X, Q, Z, B, S columns."""
-    out = [f"# {line}" for line in header_lines]
-    out.append("time\tX\tQ\tZ\tB\tS")
-    scaled = traj.scaled
-    cast = float if scaled else int
-    for i in range(traj.times.size):
-        out.append(
-            f"{float(traj.times[i])!r}\t{cast(traj.count[i])!r}\t{cast(traj.queue[i])!r}"
-            f"\t{cast(traj.in_service[i])!r}\t{cast(traj.started[i])!r}"
-            f"\t{float(traj.drained[i])!r}"
-        )
-    return "\n".join(out) + "\n"

@@ -1,8 +1,10 @@
 """Independent oracles used to derive expected values.
 
 Everything here deliberately avoids the package's own algorithms: the
-Prohorov oracle enumerates subsets against the raw definition, and the
-drain ODE is integrated by a plain fixed-step RK4 loop.
+Prohorov oracle enumerates subsets against the raw definition, the drain
+ODE is integrated by a plain fixed-step RK4 loop, and the right-hand side
+of the count equation is summed by plain trapezoid loops over scalar calls
+of the law callables.
 """
 
 import itertools
@@ -47,19 +49,20 @@ def brute_prohorov(m1: AtomicMeasure, m2: AtomicMeasure, tol: float = 1e-9) -> f
     return hi
 
 
-def rk4_drain_ode(arrival_rate: float, service_hazard: float, speed: float,
+def rk4_drain_ode(arrival_rate: float, service_hazard: float, speed,
                   horizon: float, step: float) -> np.ndarray:
-    """Fixed-step RK4 for x' = lam - hazard*speed*min(x, 1), x(0) = 0.
+    """Fixed-step RK4 for x' = lam - hazard*speed(x)*min(x, 1), x(0) = 0.
 
-    This is the exact reduction of the fluid equations for exponential
-    service (memorylessness) and a constant work rate, so it serves as an
-    independent check of the integral-equation solver.
+    ``speed`` is a number or a callable of the count.  This is the exact
+    reduction of the fluid equations for exponential service
+    (memorylessness), so it serves as an independent check of the
+    integral-equation solver.
     """
     n = int(round(horizon / step))
-    drain = service_hazard * speed
+    speed_at = speed if callable(speed) else (lambda x: speed)
 
     def f(x):
-        return arrival_rate - drain * min(x, 1.0)
+        return arrival_rate - service_hazard * speed_at(x) * min(x, 1.0)
 
     x = 0.0
     out = np.empty(n + 1)
@@ -71,6 +74,36 @@ def rk4_drain_ode(arrival_rate: float, service_hazard: float, speed: float,
         k4 = f(x + step * k3)
         x += step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         out[i + 1] = x
+    return out
+
+
+def count_equation_rhs(count, dt: float, arrival_rate: float, initial_queue: float,
+                       initial_tail, service_tail, service_pdf, rate) -> list:
+    """Right-hand side of the fluid count equation along a grid path,
+
+        F(K_i) + q0*Gc(K_i) + int_0^t_i [lam*Gc(K_i - K(s))
+                                         + (X(s) - 1)^+ k(X(s)) g(K_i - K(s))] ds,
+
+    with K the trapezoid integral of k(X) and every time integral a
+    trapezoid sum over the grid intervals, each written as a loop over
+    scalar calls of the callables."""
+    k = [float(rate(x)) for x in count]
+    drain = [0.0]
+    for i in range(1, len(count)):
+        drain.append(drain[-1] + 0.5 * dt * (k[i - 1] + k[i]))
+    out = []
+    for i, k_i in enumerate(drain):
+        integrand = []
+        for j in range(i + 1):
+            y = max(k_i - drain[j], 0.0)
+            integrand.append(
+                arrival_rate * float(service_tail(y))
+                + max(count[j] - 1.0, 0.0) * k[j] * float(service_pdf(y))
+            )
+        total = float(initial_tail(k_i)) + initial_queue * float(service_tail(k_i))
+        for m in range(1, i + 1):
+            total += 0.5 * dt * (integrand[m - 1] + integrand[m])
+        out.append(total)
     return out
 
 

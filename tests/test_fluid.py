@@ -14,7 +14,7 @@ from fluidq.laws import (
 )
 from fluidq.measures import TailFunction
 
-from oracles import overloaded_count, rk4_drain_ode, underloaded_count
+from oracles import count_equation_rhs, overloaded_count, rk4_drain_ode, underloaded_count
 
 
 def params_for(lam, horizon=5.0, dt=1e-3, service=None, rate=None,
@@ -80,6 +80,17 @@ class TestSolveCount:
         p, x, _ = overloaded
         oracle = rk4_drain_ode(2.0, 1.0, 1.0, 4.0, 1e-5)
         assert np.max(np.abs(x - oracle[::100])) <= 1e-3
+
+    def test_state_dependent_queue_matches_rk_oracle(self):
+        # a queue under a non-constant rate: the only case in which the
+        # drain-coefficient term of the history sum is nonzero while the
+        # kernels are rebuilt on every Picard iteration
+        p = params_for(2.0, horizon=2.0, dt=2e-3,
+                       rate=capped_linear_rate(0.5, 1.0, 2.0))
+        x, _ = fm.solve_count_path(p)
+        assert np.max(x) > 1.3
+        oracle = rk4_drain_ode(2.0, 1.0, lambda v: min(0.5 + v, 2.0), 2.0, 2e-4)
+        assert np.max(np.abs(x - oracle[::10])) <= 1e-5
 
     def test_overloaded_closed_form(self, overloaded):
         p, x, _ = overloaded
@@ -270,6 +281,26 @@ class TestDefect:
     def test_perturbed_path_fails(self, underloaded):
         p, x, _ = underloaded
         assert fm.fixed_point_defect(p, x + 0.1) >= 1e-2
+
+    @pytest.mark.parametrize("case", ["constant_overloaded", "queue_start", "state_dependent_queue"])
+    def test_defect_matches_plain_loop_rhs(self, case, scenario_dir):
+        import dataclasses
+
+        from fluidq.scenario import load_scenario
+
+        if case == "queue_start":
+            sc = load_scenario(scenario_dir / "queue_start.scn")
+            p = dataclasses.replace(sc, dt=0.01).fluid_params()
+        else:
+            rate = constant_rate(1.0) if case == "constant_overloaded" else capped_linear_rate(0.5, 1.0, 2.0)
+            p = params_for(2.0, horizon=2.0, dt=0.01, rate=rate)
+        x, _ = fm.solve_count_path(p)
+        x = x + 0.05 * np.sin(3.0 * p.times)  # off the solution, queue included
+        rhs = count_equation_rhs(x.tolist(), p.dt_effective, p.arrival_rate, p.initial_queue,
+                                 p.initial_tail, p.service.tail, p.service.pdf, p.rate)
+        expected = float(np.max(np.abs(x - np.array(rhs))))
+        assert expected > 1e-2
+        assert abs(fm.fixed_point_defect(p, x) - expected) <= 1e-12
 
     def test_zero_path_zero_defect(self):
         p = params_for(0.0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fluidq import fluid as fm
+from fluidq.cli import report_to_text, summary_to_text
 from fluidq.harness import (
     convergence_experiment,
     discretize_fluid_measure,
@@ -100,22 +101,14 @@ class TestConvergence:
         small, big = report.rows[0], report.rows[1]
         assert big.count_gap <= 3.0 * small.count_gap
 
-    def test_threaded_report_identical(self, solved):
-        scenario, _, sol = solved("zero_arrivals")
-        a = convergence_experiment(scenario, n_list=[5, 10], replications=2,
-                                   solution=sol, threads=None)
-        b = convergence_experiment(scenario, n_list=[5, 10], replications=2,
-                                   solution=sol, threads=4)
-        assert a.to_text() == b.to_text()
-
     def test_simulation_only_without_density(self, scenario_dir):
         from fluidq.scenario import load_scenario
 
         scenario = load_scenario(scenario_dir / "deterministic_service.scn")
         report = convergence_experiment(scenario, n_list=[5], replications=1)
         assert report.simulation_only
-        assert "simulation only" in report.summary_text()
-        assert "nan" in report.to_text()
+        assert "simulation only" in summary_to_text(report)
+        assert "nan" in report_to_text(report)
 
     def test_sampled_initial_scenarios_converge(self, solved):
         # warm starts exercise the inverse-transform initial sampling and

@@ -19,8 +19,8 @@ from fluidq.simulate import (
     run_simulation,
     sample_initial,
     scale_trajectory,
-    trajectory_to_text,
 )
+from fluidq.cli import trajectory_to_text
 
 
 def events_of(traj, kind):

@@ -1,0 +1,50 @@
+"""Exit code and SHA-256 of every CLI artifact on every shipped scenario.
+
+Runs ``fluidq simulate``, ``solve``, ``compare`` and ``gc-check`` on each
+``scenarios/*.scn`` with the scenario's own seeds and n ladder, one fresh
+interpreter per command, and prints one line per command followed by one
+line per artifact it wrote:
+
+    python3 tools/artifact_digests.py              # this checkout
+    python3 tools/artifact_digests.py OTHER_ROOT   # another checkout's src/ and scenarios/
+
+A refactor that claims no change in behaviour shows it by running this on
+the parent commit and on the change and diffing the two outputs.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+COMMANDS = ("simulate", "solve", "compare", "gc-check")
+
+
+def main() -> int:
+    root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent)
+    root = root.resolve()
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    artifacts = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for scn in sorted((root / "scenarios").glob("*.scn")):
+            for command in COMMANDS:
+                out = Path(tmp) / scn.stem / command
+                proc = subprocess.run(
+                    [sys.executable, "-m", "fluidq.cli", command, "--scenario", str(scn),
+                     "--out", str(out), "--quiet"],
+                    env=env, capture_output=True,
+                )
+                print(f"{command} {scn.stem}: exit {proc.returncode}", flush=True)
+                for path in sorted(out.rglob("*")) if out.exists() else ():
+                    if path.is_file():
+                        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                        print(f"  {digest}  {path.relative_to(out)}")
+                        artifacts += 1
+    print(f"{artifacts} artifacts")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
