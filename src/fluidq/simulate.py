@@ -8,6 +8,11 @@ tracked through a single cumulative drain offset: a customer entering
 service at offset o with requirement v departs when the offset reaches
 o + v.  Events therefore cost O(log m) with m customers in service, and the
 work integral over any service interval is an exact difference of offsets.
+
+X moves by +-1, so each simulator tabulates k(X/n) per integer count on
+first use and never evaluates the rate function twice at one count.  The
+run loop peeks the next event time once per event and hands that peek to
+the step that processes the event.
 """
 
 from __future__ import annotations
@@ -83,13 +88,15 @@ class SimState:
         return {idx: key - at for key, idx in self.heap}
 
     def check(self):
-        if self.count != self.in_service + self.queue_length:
+        busy = len(self.heap)
+        waiting = len(self.queue)
+        if self.count != busy + waiting:
             raise AssertionError("count != in service + queue")
-        if self.queue_length != max(self.count - self.n, 0):
+        if waiting != max(self.count - self.n, 0):
             raise AssertionError("queue length violates work conservation")
-        if self.in_service != min(self.count, self.n):
+        if busy != min(self.count, self.n):
             raise AssertionError("busy servers != min(count, n)")
-        if self.started != self.arrivals - self.queue_length:
+        if self.started != self.arrivals - waiting:
             raise AssertionError("start counter out of sync")
         if self.heap and self.heap[0][0] - self.drained < -RESIDUAL_TOL:
             raise AssertionError("negative residual work: internal bug")
@@ -290,11 +297,16 @@ class Simulator:
         arr_seed, svc_seed = ss.spawn(2)
         self._gaps = _GapStream(arrivals, n, np.random.default_rng(arr_seed))
         self._reqs = _RequirementStream(service, np.random.default_rng(svc_seed))
+        self._rates: dict = {}  # count c -> float(rate(c / n)), filled on first use
 
     # -- event machinery --------------------------------------------------
 
     def _current_rate(self) -> float:
-        return float(self.rate(self.state.count / self.n))
+        c = self.state.count
+        r = self._rates.get(c)
+        if r is None:
+            r = self._rates[c] = float(self.rate(c / self.n))
+        return r
 
     def _departure_time(self, r: float) -> float:
         s = self.state
@@ -313,8 +325,11 @@ class Simulator:
         come out as one event, ordered by customer index) or an empty list
         when no further event can occur.
         """
+        return self._step(*self.peek_next_time())
+
+    def _step(self, r: float, dep: float, arr: float) -> list:
+        """``next_event`` given the current ``peek_next_time()``."""
         s = self.state
-        r, dep, arr = self.peek_next_time()
         if min(dep, arr) == math.inf:
             return []
         out = []
@@ -392,7 +407,7 @@ class Simulator:
             raise ValueError("horizon must be >= 0")
         if grid is None:
             grid = np.linspace(0.0, horizon, 101) if horizon > 0 else np.array([0.0])
-        grid = np.asarray(grid, dtype=float)
+        grid = np.asarray(grid, dtype=float).tolist()
         snaps_at = sorted(float(t) for t in snapshot_times)
         s = self.state
         events: list = []
@@ -402,7 +417,7 @@ class Simulator:
         while True:
             r, dep, arr = self.peek_next_time()
             t_next = min(dep, arr)
-            while gi < grid.size and grid[gi] <= horizon and grid[gi] < t_next:
+            while gi < len(grid) and grid[gi] <= horizon and grid[gi] < t_next:
                 g = grid[gi]
                 rows["t"].append(g)
                 rows["count"].append(s.count)
@@ -416,7 +431,7 @@ class Simulator:
                 si += 1
             if t_next > horizon or t_next == math.inf:
                 break
-            events.extend(self.next_event())
+            events.extend(self._step(r, dep, arr))
         return Trajectory(
             n=self.n,
             horizon=horizon,

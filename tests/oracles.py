@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the package's own algorithms: the
 Prohorov oracle enumerates subsets against the raw definition, the drain
-ODE is integrated by a plain fixed-step RK4 loop, and the right-hand side
+ODE is integrated by a plain fixed-step RK4 loop, the right-hand side
 of the count equation is summed by plain trapezoid loops over scalar calls
-of the law callables.
+of the law callables, and the reference simulator keeps every residual
+explicitly and drains each one at every event.
 """
 
 import itertools
@@ -105,6 +106,68 @@ def count_equation_rhs(count, dt: float, arrival_rate: float, initial_queue: flo
             total += 0.5 * dt * (integrand[m - 1] + integrand[m])
         out.append(total)
     return out
+
+
+def reference_simulation(n: int, arrival_times, requirements, rate,
+                         horizon: float, grid):
+    """Naive O(m)-per-event simulation of the n-server FCFS queue in which
+    everyone in service drains at k(X/n), from an empty start.
+
+    Residual work is a dict kept per customer.  At every event the rate is
+    evaluated afresh, every residual is drained by r*dt, customers with
+    residual <= 1e-12 leave together (logged in index order) and free
+    servers take waiting customers head first.  A departure wins a tie
+    with an arrival.  Returns the event log as (time, kind, customer)
+    tuples and, for every grid point at or below the horizon that lies
+    before the next event, the row (t, count, queue, in_service, started,
+    drained), where drained is the cumulative per-server work.
+    """
+    clock = drained = 0.0
+    in_service = {}  # customer -> residual work
+    waiting = []     # (customer, requirement), head first
+    started = 0
+    arrived = 0
+    log, rows = [], []
+    gi = 0
+    while True:
+        count = len(in_service) + len(waiting)
+        r = float(rate(count / n))
+        dep = math.inf
+        if in_service and r > 0.0:
+            dep = clock + min(in_service.values()) / r
+        arr = arrival_times[arrived] if arrived < len(arrival_times) else math.inf
+        t_next = min(dep, arr)
+        while gi < len(grid) and grid[gi] <= horizon and grid[gi] < t_next:
+            g = grid[gi]
+            rows.append((g, count, len(waiting), len(in_service), started,
+                         drained + r * (g - clock)))
+            gi += 1
+        if t_next > horizon:
+            break
+        for c in in_service:
+            in_service[c] -= r * (t_next - clock)
+        drained += r * (t_next - clock)
+        clock = t_next
+        if dep <= arr:
+            for c in sorted(c for c, w in in_service.items() if w <= 1e-12):
+                del in_service[c]
+                log.append((clock, "departure", c))
+            while waiting and len(in_service) < n:
+                c, v = waiting.pop(0)
+                in_service[c] = v
+                started = c
+                log.append((clock, "start_service", c))
+        else:
+            arrived += 1
+            v = requirements[arrived - 1]
+            log.append((clock, "arrival", arrived))
+            if len(in_service) < n:
+                in_service[arrived] = v
+                started = arrived
+                log.append((clock, "start_service", arrived))
+            else:
+                waiting.append((arrived, v))
+    return log, rows
 
 
 def underloaded_count(times: np.ndarray, arrival_rate: float) -> np.ndarray:

@@ -47,16 +47,6 @@ def atomic_from_text(text: str) -> AtomicMeasure:
     return AtomicMeasure.from_pairs(_comma_pairs(text))
 
 
-def tail_to_text(tf: TailFunction) -> str:
-    lines = [f"{float(x)!r},{float(v)!r}" for x, v in zip(tf.grid, tf.values)]
-    return "\n".join(lines) + "\n"
-
-
-def tail_from_text(text: str) -> TailFunction:
-    pairs = list(_comma_pairs(text))
-    return TailFunction([x for x, _ in pairs], [v for _, v in pairs])
-
-
 class TestAtomicMeasure:
     def test_atoms_sorted_and_merged(self):
         a = AtomicMeasure([2.0, 1.0, 2.0], [1.0, 3.0, 0.5])
@@ -233,9 +223,3 @@ class TestSerialization:
 
     def test_empty_atomic(self):
         assert atomic_from_text(atomic_to_text(AtomicMeasure())) == AtomicMeasure()
-
-    def test_tail_round_trip(self):
-        tf = TailFunction([0.0, 0.5, 1.25], [1.0, 0.625, 0.0])
-        back = tail_from_text(tail_to_text(tf))
-        assert np.array_equal(back.grid, tf.grid)
-        assert np.array_equal(back.values, tf.values)

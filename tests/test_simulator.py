@@ -1,13 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fluidq.laws import (
+    capped_linear_rate,
     constant_rate,
     make_arrivals,
     make_deterministic,
     make_exponential,
+    table_rate,
 )
 from fluidq.measures import AtomicMeasure, TailFunction, shift_tail
 from fluidq.simulate import (
@@ -21,6 +25,8 @@ from fluidq.simulate import (
     scale_trajectory,
 )
 from fluidq.cli import trajectory_to_text
+
+from oracles import reference_simulation
 
 
 def events_of(traj, kind):
@@ -117,6 +123,101 @@ class TestHandTraces:
         assert at_07 == [
             (DEPARTURE, -3), (DEPARTURE, -2), (START, -1), (START, 0),
         ]
+
+    def test_arrival_speeds_up_service_in_progress(self):
+        # One server, k(X) = min(0.5 + X, 2): rate 1.5 with one customer, 2
+        # with two.  Customer 1 (work 1.5) starts at 0 and alone would leave
+        # at 1.5/1.5 = 1.  Customer 2 (work 0.75) arrives at 0.5 and waits;
+        # by then customer 1 has 1.5 - 0.5*1.5 = 0.75 left, and X = 2 lifts
+        # the rate to 2, so customer 1 leaves at 0.5 + 0.75/2 = 0.875.
+        # Customer 2 then runs alone at 1.5 and leaves at 0.875 + 0.75/1.5
+        # = 1.375.  The cumulative drain is 0.75 at t = 0.5, 1.5 at 0.875,
+        # 1.5 + 1.5*0.125 = 1.6875 at t = 1, and 2.25 at 1.375; the empty
+        # system then drains at k(0) = 0.5, giving 2.25 + 0.5*0.625 = 2.5625
+        # at t = 2.
+        sim = Simulator(1, [1.5, 0.75], capped_linear_rate(0.5, 1.0, 2.0),
+                        arrivals=[0.0, 0.5])
+        traj = sim.run(2.0, grid=[0.0, 0.5, 0.875, 1.0, 2.0])
+        log = [(e.kind, e.time, e.customer) for e in traj.events]
+        assert log == [
+            (ARRIVAL, 0.0, 1), (START, 0.0, 1),
+            (ARRIVAL, 0.5, 2),
+            (DEPARTURE, 0.875, 1), (START, 0.875, 2),
+            (DEPARTURE, 1.375, 2),
+        ]
+        assert traj.count.tolist() == [1, 2, 1, 1, 0]
+        assert traj.queue.tolist() == [0, 1, 0, 0, 0]
+        assert traj.drained.tolist() == [0.0, 0.75, 1.5, 1.6875, 2.5625]
+
+
+# Rates are 0 or powers of two and times and work are multiples of 1/4, so
+# every event time and residual is exact in both simulators and ties between
+# arrivals, departures and grid points stay exact ties.
+GRID = [i / 4 for i in range(33)]
+
+
+def _knots_at_counts(n, ks):
+    """Table rate with k(c/n) = ks[c], flat beyond the last knot."""
+    xs = [i / n for i in range(len(ks))]
+    return table_rate(xs, ks, float(np.max(np.abs(np.diff(ks)) / np.diff(xs))))
+
+
+@st.composite
+def explicit_runs(draw):
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        # min(base + s*n*x, cap) takes only the values 0, s and 2s at x = c/n
+        s = draw(st.sampled_from((0.5, 1.0, 2.0)))
+        rate = capped_linear_rate(draw(st.sampled_from((0.0, s))), s * n,
+                                  draw(st.sampled_from((s, 2 * s))))
+    else:
+        ks = draw(st.lists(st.sampled_from((0.0, 0.5, 1.0, 2.0)),
+                           min_size=2, max_size=6))
+        rate = _knots_at_counts(n, ks)
+    arrivals = sorted(t / 4 for t in draw(st.lists(st.integers(0, 16), max_size=10)))
+    reqs = [v / 4 for v in draw(st.lists(st.integers(1, 8), min_size=len(arrivals),
+                                         max_size=len(arrivals)))]
+    horizon = draw(st.integers(0, 32)) / 4
+    return n, rate, arrivals, reqs, horizon
+
+
+class TestStateDependentRate:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(explicit_runs())
+    # service stops at two customers until a third arrives
+    @example((2, _knots_at_counts(2, [1.0, 1.0, 0.0, 2.0]),
+              [0.0, 0.25, 1.0, 1.0], [1.0, 0.5, 0.25, 0.5], 6.0))
+    def test_matches_reference_simulator(self, run):
+        n, rate, arrivals, reqs, horizon = run
+        traj = Simulator(n, reqs, rate, arrivals=arrivals).run(horizon, grid=GRID)
+        log, rows = reference_simulation(n, arrivals, reqs, rate, horizon, GRID)
+        assert [(e.kind, e.customer) for e in traj.events] == [(k, c) for _, k, c in log]
+        assert np.allclose([e.time for e in traj.events], [t for t, _, _ in log],
+                           rtol=0.0, atol=1e-9)
+        got = list(zip(traj.times.tolist(), traj.count.tolist(), traj.queue.tolist(),
+                       traj.in_service.tolist(), traj.started.tolist()))
+        assert got == [row[:5] for row in rows]
+        assert np.allclose(traj.drained, [row[5] for row in rows], rtol=0.0, atol=1e-9)
+
+    def test_rate_evaluated_once_per_count(self):
+        base = capped_linear_rate(0.5, 1.0, 2.0)
+        calls = []
+
+        def counting_fn(x):
+            calls.append(float(x))
+            return base.fn(x)
+
+        sim = Simulator(5, make_exponential(1.0), dataclasses.replace(base, fn=counting_fn),
+                        arrivals=make_arrivals("exponential", 1.2), seed=3)
+        traj = sim.run(4.0, snapshot_times=[1.0, 2.0])
+        x = traj.initial_count
+        reached = {x}
+        for e in traj.events:
+            x += {ARRIVAL: 1, DEPARTURE: -1}.get(e.kind, 0)
+            reached.add(x)
+        assert len(traj.events) > 4 * len(reached)
+        assert len(calls) == len(set(calls))
+        assert set(calls) <= {c / 5 for c in reached}
 
 
 @pytest.fixture(scope="module")
