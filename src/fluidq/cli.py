@@ -20,8 +20,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .fluid import FluidAccuracyError, FluidSolution, FluidSolverError, solve
 from .harness import ConvergenceReport, convergence_experiment, glivenko_cantelli_check, run_scenario_once
 from .laws import DensityRequiredError
@@ -173,15 +171,8 @@ def summary_to_text(report: ConvergenceReport, header_lines=()) -> str:
     return _table(header_lines, (), ()) + "\n".join(body) + "\n"
 
 
-def _sim_grid(scenario) -> np.ndarray:
-    if scenario.horizon == 0.0:
-        return np.array([0.0])
-    steps = max(1, int(round(scenario.horizon / scenario.dt)))
-    return np.linspace(0.0, scenario.horizon, steps + 1)
-
-
 def _cmd_simulate(scenario, writer: _Writer, n_list, seeds, say):
-    grid = _sim_grid(scenario)
+    grid = scenario.time_grid()
     for n in n_list:
         for seed in seeds:
             traj = run_scenario_once(

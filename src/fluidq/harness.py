@@ -84,9 +84,7 @@ def discretize_fluid_measure(
         x_grid = solution.x_grid
     x_grid = np.asarray(x_grid, dtype=float)
     if params is not None:
-        i = int(np.argmin(np.abs(solution.times - t)))
-        if abs(solution.times[i] - t) > 1e-9:
-            raise ValueError(f"time {t} is not on the solution grid")
+        i = fluid_mod._grid_index(solution.times, t)
         z = fluid_mod.tail_on_grid(
             params, solution.count, solution.drained, solution.started, i, x_grid
         )

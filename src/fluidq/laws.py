@@ -45,10 +45,6 @@ class ServiceLaw:
         return 1.0 - self.cdf(x)
 
     @property
-    def has_density(self) -> bool:
-        return self.pdf is not None
-
-    @property
     def has_lipschitz_density(self) -> bool:
         return self.pdf is not None and math.isfinite(self.density_lipschitz)
 
@@ -307,3 +303,15 @@ def table_rate(xs, ks, lipschitz: float) -> RateFunction:
         bound=float(np.max(ks)),
         lipschitz=float(lipschitz),
     )
+
+
+def _table_rate_from_knots(knots, lipschitz: float) -> RateFunction:
+    xs, ks = zip(*knots)
+    return table_rate(xs, ks, lipschitz)
+
+
+RATE_KINDS = {
+    "constant": constant_rate,
+    "capped_linear": capped_linear_rate,
+    "table": _table_rate_from_knots,
+}

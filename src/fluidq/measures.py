@@ -66,18 +66,6 @@ class AtomicMeasure:
         object.__setattr__(self, "locations", loc)
         object.__setattr__(self, "weights", wgt)
 
-    @classmethod
-    def from_pairs(cls, pairs):
-        pairs = list(pairs)
-        if not pairs:
-            return cls()
-        loc, wgt = zip(*pairs)
-        return cls(loc, wgt)
-
-    @classmethod
-    def empty(cls):
-        return cls()
-
     @property
     def total_mass(self) -> float:
         return float(self.weights.sum())
@@ -229,13 +217,6 @@ class TailFunction:
         v.flags.writeable = False
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
-
-    @classmethod
-    def from_atomic(cls, measure: AtomicMeasure, grid) -> "TailFunction":
-        # evaluate tail() itself so both representations agree bit-exactly
-        g = np.asarray(grid, dtype=float)
-        vals = np.array([tail(measure, x) for x in g])
-        return cls(g, vals)
 
     @classmethod
     def zero(cls) -> "TailFunction":

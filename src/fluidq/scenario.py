@@ -22,7 +22,11 @@ Schema (keys are lowercase, one ``key = value`` per line, ``#`` comments):
     n_list          default 10,100,1000
     replications    default 3
     seed            default 12345; base seed, replication r uses seed + r
-    snapshot_times  default T/5, T/2, T
+    snapshot_times  default T/5, T/2, T; each must lie on the time grid,
+                    ``round(T/dt)`` equal steps on [0, T], to within 1e-9
+
+Every number, law parameters and x:y pairs included, must be finite, and
+``T/dt`` may not exceed 10^7 steps.
 
 Unknown keys are rejected with their line number.  Round trip holds:
 parsing the canonical serialization reproduces the scenario exactly.
@@ -31,19 +35,13 @@ parsing the canonical serialization reproduces the scenario exactly.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fluid import FluidParams, check_initial_consistency
-from .laws import (
-    ARRIVAL_KINDS,
-    SERVICE_KINDS,
-    capped_linear_rate,
-    constant_rate,
-    make_arrivals,
-    table_rate,
-)
+from .laws import ARRIVAL_KINDS, RATE_KINDS, SERVICE_KINDS, make_arrivals
 from .measures import TailFunction
 
 
@@ -51,23 +49,50 @@ class ScenarioError(ValueError):
     """Scenario file violates the schema or its consistency checks."""
 
 
+_REQUIRED = ("name", "lambda", "service", "rate", "horizon")
+
+# Optional keys with the text their default would have in a file;
+# snapshot_times defaults to T/5, T/2, T.
 _DEFAULTS = {
     "arrival": "exponential",
-    "initial": ("empty", ()),
-    "q0": 0.0,
-    "dt": 1e-3,
-    "x_max": 10.0,
-    "x_step": 0.05,
-    "n_list": (10, 100, 1000),
-    "replications": 3,
-    "seed": 12345,
+    "initial": "empty",
+    "q0": "0.0",
+    "dt": "0.001",
+    "x_max": "10.0",
+    "x_step": "0.05",
+    "n_list": "10,100,1000",
+    "replications": "3",
+    "seed": "12345",
 }
 
-_KNOWN_KEYS = {
-    "name", "lambda", "arrival", "service", "rate", "initial", "q0",
-    "horizon", "dt", "x_max", "x_step", "n_list", "replications", "seed",
-    "snapshot_times",
+_KNOWN_KEYS = {*_REQUIRED, *_DEFAULTS, "snapshot_times"}
+
+# Law keys: kind -> parameter names, in the order the canonical text
+# writes them.  The parameters in _PAIR_PARAMS are x:y lists, the rest
+# are numbers.
+_LAWS = {
+    "service": {
+        "exponential": ("rate",),
+        "lognormal": ("mu", "sigma"),
+        "uniform": ("a", "b"),
+        "deterministic": ("value",),
+    },
+    "rate": {
+        "constant": ("value",),
+        "capped_linear": ("base", "slope", "cap"),
+        "table": ("knots", "lipschitz"),
+    },
+    "initial": {
+        "empty": (),
+        "scaled_tail": ("mass",),
+        "grid": ("points",),
+    },
 }
+_PAIR_PARAMS = {"knots", "points"}
+
+# The parser builds the time grid to check the snapshot times against it,
+# so the step count is capped: 10^7 steps make an 80 MB grid.
+_MAX_TIME_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -100,15 +125,7 @@ class Scenario:
         return make_arrivals(self.arrival_kind, self.lam)
 
     def build_rate(self):
-        params = dict(self.rate_params)
-        if self.rate_kind == "constant":
-            return constant_rate(params["value"])
-        if self.rate_kind == "capped_linear":
-            return capped_linear_rate(params["base"], params["slope"], params["cap"])
-        if self.rate_kind == "table":
-            xs, ks = zip(*params["knots"])
-            return table_rate(xs, ks, params["lipschitz"])
-        raise ScenarioError(f"unknown rate kind '{self.rate_kind}'")
+        return RATE_KINDS[self.rate_kind](**dict(self.rate_params))
 
     def build_initial_tail(self) -> TailFunction:
         params = dict(self.initial_params)
@@ -126,6 +143,14 @@ class Scenario:
     def x_grid(self) -> np.ndarray:
         return np.arange(0.0, self.x_max + 0.5 * self.x_step, self.x_step)
 
+    def time_grid(self) -> np.ndarray:
+        """``round(T/dt)`` equal steps on [0, T], the fluid solver's grid;
+        the single time 0 when T = 0."""
+        if self.horizon == 0.0:
+            return np.array([0.0])
+        steps = max(1, int(round(self.horizon / self.dt)))
+        return np.linspace(0.0, self.horizon, steps + 1)
+
     def fluid_params(self) -> FluidParams:
         return FluidParams(
             arrival_rate=self.lam,
@@ -138,47 +163,50 @@ class Scenario:
         )
 
 
-def _parse_kv_tokens(tokens, line_no, context):
-    out = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise ScenarioError(
-                f"line {line_no}: expected key=value in {context}, got '{tok}'"
-            )
-        k, v = tok.split("=", 1)
-        out[k] = v
-    return out
+def _finite(text, line, name) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ScenarioError(f"line {line}: '{name}' needs a finite number, got '{text}'")
+    return value
 
 
-def _parse_pairs(text, line_no, context):
+def _parse_pairs(text, line, name):
     """Comma-separated x:y pairs."""
     pairs = []
     for chunk in text.split(","):
-        if ":" not in chunk:
-            raise ScenarioError(
-                f"line {line_no}: expected x:y pairs in {context}, got '{chunk}'"
-            )
-        a, b = chunk.split(":", 1)
-        try:
-            pairs.append((float(a), float(b)))
-        except ValueError:
-            raise ScenarioError(f"line {line_no}: bad number in {context}") from None
+        x, sep, y = chunk.partition(":")
+        if not sep:
+            raise ScenarioError(f"line {line}: expected x:y pairs in {name}, got '{chunk}'")
+        pairs.append((_finite(x, line, name), _finite(y, line, name)))
     return tuple(pairs)
 
 
-def _parse_float(raw, line_no, key):
-    try:
-        return float(raw)
-    except ValueError:
-        raise ScenarioError(f"line {line_no}: key '{key}' needs a number") from None
-
-
-_SERVICE_PARAM_ORDER = {
-    "exponential": ("rate",),
-    "lognormal": ("mu", "sigma"),
-    "uniform": ("a", "b"),
-    "deterministic": ("value",),
-}
+def _parse_law(key, text, line):
+    """``kind p=v ...`` for a law key: the kind and its parameters in
+    the table's order."""
+    kind, *tokens = text.split() or [""]
+    kinds = _LAWS[key]
+    if kind not in kinds:
+        raise ScenarioError(f"line {line}: unknown {key} kind '{kind}'")
+    given = {}
+    for tok in tokens:
+        name, sep, value = tok.partition("=")
+        if not sep:
+            raise ScenarioError(f"line {line}: expected key=value in {key}, got '{tok}'")
+        if name in given:
+            raise ScenarioError(f"line {line}: duplicate parameter '{name}' in {key}")
+        given[name] = value
+    names = kinds[kind]
+    if set(given) != set(names):
+        wanted = ", ".join(f"{name}=" for name in names) or "no parameters"
+        raise ScenarioError(f"line {line}: {key} '{kind}' needs {wanted}")
+    return kind, tuple(
+        (name, (_parse_pairs if name in _PAIR_PARAMS else _finite)(given[name], line, name))
+        for name in names
+    )
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -197,137 +225,64 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"line {line_no}: duplicate key '{key}'")
         raw[key] = value
         lines[key] = line_no
-    for required in ("name", "lambda", "service", "rate", "horizon"):
+    for required in _REQUIRED:
         if required not in raw:
             raise ScenarioError(f"missing required key '{required}'")
+    values = {**_DEFAULTS, **raw}
 
-    def line_of(key):
-        return lines.get(key, 0)
+    def fail(key, message):
+        where = f"line {lines[key]}: " if key in lines else ""
+        raise ScenarioError(where + message)
 
-    lam = _parse_float(raw["lambda"], line_of("lambda"), "lambda")
-    if lam < 0:
-        raise ScenarioError(f"line {line_of('lambda')}: lambda must be >= 0")
-    horizon = _parse_float(raw["horizon"], line_of("horizon"), "horizon")
-    if horizon < 0:
-        raise ScenarioError(f"line {line_of('horizon')}: horizon must be >= 0")
+    def number(key, at_least=-math.inf) -> float:
+        value = _finite(values[key], lines.get(key, 0), key)
+        if value < at_least:
+            fail(key, f"{key} must be >= {at_least}")
+        return value
 
-    arrival_kind = raw.get("arrival", _DEFAULTS["arrival"])
+    def law(key):
+        return _parse_law(key, values[key], lines.get(key, 0))
+
+    lam = number("lambda", 0)
+    horizon = number("horizon", 0)
+
+    arrival_kind = values["arrival"]
     if arrival_kind not in ARRIVAL_KINDS:
-        raise ScenarioError(
-            f"line {line_of('arrival')}: unknown arrival kind '{arrival_kind}'"
-        )
+        fail("arrival", f"unknown arrival kind '{arrival_kind}'")
+    service_kind, service_params = law("service")
+    rate_kind, rate_params = law("rate")
+    initial_kind, initial_params = law("initial")
 
-    svc_tokens = raw["service"].split()
-    service_kind = svc_tokens[0]
-    if service_kind not in _SERVICE_PARAM_ORDER:
-        raise ScenarioError(
-            f"line {line_of('service')}: unknown service kind '{service_kind}'"
-        )
-    svc_kv = _parse_kv_tokens(svc_tokens[1:], line_of("service"), "service")
-    expected = _SERVICE_PARAM_ORDER[service_kind]
-    if set(svc_kv) != set(expected):
-        raise ScenarioError(
-            f"line {line_of('service')}: service '{service_kind}' needs "
-            f"parameters {', '.join(expected)}"
-        )
-    service_params = tuple(
-        (k, _parse_float(svc_kv[k], line_of("service"), k)) for k in expected
-    )
-
-    rate_tokens = raw["rate"].split()
-    rate_kind = rate_tokens[0]
-    rate_kv = _parse_kv_tokens(rate_tokens[1:], line_of("rate"), "rate")
-    if rate_kind == "constant":
-        if set(rate_kv) != {"value"}:
-            raise ScenarioError(f"line {line_of('rate')}: constant rate needs value=")
-        rate_params = (("value", _parse_float(rate_kv["value"], line_of("rate"), "value")),)
-    elif rate_kind == "capped_linear":
-        if set(rate_kv) != {"base", "slope", "cap"}:
-            raise ScenarioError(
-                f"line {line_of('rate')}: capped_linear needs base=, slope=, cap="
-            )
-        rate_params = tuple(
-            (k, _parse_float(rate_kv[k], line_of("rate"), k))
-            for k in ("base", "slope", "cap")
-        )
-    elif rate_kind == "table":
-        if set(rate_kv) != {"knots", "lipschitz"}:
-            raise ScenarioError(
-                f"line {line_of('rate')}: table rate needs knots=, lipschitz="
-            )
-        rate_params = (
-            ("knots", _parse_pairs(rate_kv["knots"], line_of("rate"), "rate knots")),
-            ("lipschitz", _parse_float(rate_kv["lipschitz"], line_of("rate"), "lipschitz")),
-        )
-    else:
-        raise ScenarioError(f"line {line_of('rate')}: unknown rate kind '{rate_kind}'")
-
-    if "initial" in raw:
-        ini_tokens = raw["initial"].split()
-        initial_kind = ini_tokens[0]
-        ini_kv = _parse_kv_tokens(ini_tokens[1:], line_of("initial"), "initial")
-        if initial_kind == "empty":
-            if ini_kv:
-                raise ScenarioError(
-                    f"line {line_of('initial')}: 'empty' takes no parameters"
-                )
-            initial_params = ()
-        elif initial_kind == "scaled_tail":
-            if set(ini_kv) != {"mass"}:
-                raise ScenarioError(
-                    f"line {line_of('initial')}: scaled_tail needs mass="
-                )
-            initial_params = (
-                ("mass", _parse_float(ini_kv["mass"], line_of("initial"), "mass")),
-            )
-        elif initial_kind == "grid":
-            if set(ini_kv) != {"points"}:
-                raise ScenarioError(f"line {line_of('initial')}: grid needs points=")
-            initial_params = (
-                ("points", _parse_pairs(ini_kv["points"], line_of("initial"), "initial grid")),
-            )
-        else:
-            raise ScenarioError(
-                f"line {line_of('initial')}: unknown initial kind '{initial_kind}'"
-            )
-    else:
-        initial_kind, initial_params = _DEFAULTS["initial"]
-
-    q0 = _parse_float(raw.get("q0", "0"), line_of("q0"), "q0")
-    if q0 < 0:
-        raise ScenarioError(f"line {line_of('q0')}: q0 must be >= 0")
-    dt = _parse_float(raw.get("dt", repr(_DEFAULTS["dt"])), line_of("dt"), "dt")
+    q0 = number("q0", 0)
+    dt = number("dt")
     if dt <= 0:
-        raise ScenarioError(f"line {line_of('dt')}: dt must be positive")
-    x_max = _parse_float(raw.get("x_max", repr(_DEFAULTS["x_max"])), line_of("x_max"), "x_max")
-    x_step = _parse_float(raw.get("x_step", repr(_DEFAULTS["x_step"])), line_of("x_step"), "x_step")
+        fail("dt", "dt must be positive")
+    if not horizon / dt <= _MAX_TIME_STEPS:
+        fail("dt", f"dt gives more than {_MAX_TIME_STEPS} time steps on [0, horizon]")
+    x_max = number("x_max")
+    x_step = number("x_step")
     if x_max <= 0 or x_step <= 0 or x_step > x_max:
         raise ScenarioError("x_max and x_step must be positive with x_step <= x_max")
 
-    if "n_list" in raw:
-        try:
-            n_list = tuple(int(v) for v in raw["n_list"].split(","))
-        except ValueError:
-            raise ScenarioError(f"line {line_of('n_list')}: n_list needs integers") from None
-    else:
-        n_list = _DEFAULTS["n_list"]
+    try:
+        n_list = tuple(int(v) for v in values["n_list"].split(","))
+    except ValueError:
+        fail("n_list", "n_list needs integers")
     if not n_list or any(n < 1 for n in n_list):
-        raise ScenarioError(f"line {line_of('n_list')}: n_list entries must be >= 1")
+        fail("n_list", "n_list entries must be >= 1")
 
-    replications = int(_parse_float(raw.get("replications", "3"), line_of("replications"), "replications"))
-    if replications < 1:
-        raise ScenarioError(f"line {line_of('replications')}: replications must be >= 1")
-    seed = int(_parse_float(raw.get("seed", repr(float(_DEFAULTS["seed"]))), line_of("seed"), "seed"))
+    replications = int(number("replications", 1))
+    seed = int(number("seed"))
 
     if "snapshot_times" in raw:
         snapshot_times = tuple(
-            _parse_float(v, line_of("snapshot_times"), "snapshot_times")
+            _finite(v, lines["snapshot_times"], "snapshot_times")
             for v in raw["snapshot_times"].split(",")
         )
     else:
         snapshot_times = (horizon / 5.0, horizon / 2.0, horizon)
     if any(t < 0 or t > horizon for t in snapshot_times):
-        raise ScenarioError("snapshot times must lie within [0, horizon]")
+        fail("snapshot_times", "snapshot times must lie within [0, horizon]")
 
     scenario = Scenario(
         name=raw["name"],
@@ -349,47 +304,39 @@ def parse_scenario(text: str) -> Scenario:
         seed=seed,
         snapshot_times=snapshot_times,
     )
+    grid = scenario.time_grid()
+    for t in snapshot_times:
+        if np.min(np.abs(grid - t)) > 1e-9:
+            fail("snapshot_times", f"snapshot_times: time {t!r} is not on the dt grid")
     # surface time-zero consistency and law construction problems now
     try:
-        service = scenario.build_service()
+        scenario.build_service()
         scenario.build_rate()
         tail0 = scenario.build_initial_tail()
         check_initial_consistency(tail0.total_mass, scenario.q0)
-        del service
-    except ScenarioError:
-        raise
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise ScenarioError(str(exc)) from exc
     return scenario
 
 
-def _format_pairs(pairs) -> str:
-    return ",".join(f"{float(a)!r}:{float(b)!r}" for a, b in pairs)
+def _format_law(kind, params) -> str:
+    def fmt(name, value):
+        if name in _PAIR_PARAMS:
+            return ",".join(f"{float(a)!r}:{float(b)!r}" for a, b in value)
+        return repr(float(value))
+
+    return " ".join([kind, *(f"{name}={fmt(name, value)}" for name, value in params)])
 
 
 def serialize_scenario(sc: Scenario) -> str:
     """Canonical text form; parsing it reproduces the scenario exactly."""
-    svc = " ".join(f"{k}={float(v)!r}" for k, v in sc.service_params)
-    if sc.rate_kind == "table":
-        params = dict(sc.rate_params)
-        rate = f"table knots={_format_pairs(params['knots'])} lipschitz={float(params['lipschitz'])!r}"
-    else:
-        rate = sc.rate_kind + "".join(
-            f" {k}={float(v)!r}" for k, v in sc.rate_params
-        )
-    if sc.initial_kind == "grid":
-        initial = f"grid points={_format_pairs(dict(sc.initial_params)['points'])}"
-    elif sc.initial_kind == "scaled_tail":
-        initial = f"scaled_tail mass={float(dict(sc.initial_params)['mass'])!r}"
-    else:
-        initial = "empty"
     lines = [
         f"name = {sc.name}",
         f"lambda = {float(sc.lam)!r}",
         f"arrival = {sc.arrival_kind}",
-        f"service = {sc.service_kind} {svc}".rstrip(),
-        f"rate = {rate}",
-        f"initial = {initial}",
+        f"service = {_format_law(sc.service_kind, sc.service_params)}",
+        f"rate = {_format_law(sc.rate_kind, sc.rate_params)}",
+        f"initial = {_format_law(sc.initial_kind, sc.initial_params)}",
         f"q0 = {float(sc.q0)!r}",
         f"horizon = {float(sc.horizon)!r}",
         f"dt = {float(sc.dt)!r}",

@@ -82,11 +82,6 @@ class SimState:
     def queue_length(self) -> int:
         return len(self.queue)
 
-    def residuals(self, drained: Optional[float] = None) -> dict:
-        """Remaining work by customer index at the given drain offset."""
-        at = self.drained if drained is None else drained
-        return {idx: key - at for key, idx in self.heap}
-
     def check(self):
         busy = len(self.heap)
         waiting = len(self.queue)

@@ -1,13 +1,27 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fluidq import cli
 from fluidq.scenario import (
     Scenario,
     ScenarioError,
+    load_scenario,
     parse_scenario,
     scenario_hash,
     serialize_scenario,
 )
+
+# Every artifact header carries the scenario hash, so a change to
+# serialize_scenario rewrites every artifact; these pin it.
+SHIPPED_HASHES = {
+    "deterministic_service": "96165d600cec4cff",
+    "overloaded_exp": "9731b8dd782448be",
+    "queue_start": "e4af3376dce470ce",
+    "state_dependent": "3f58f9db97704219",
+    "underloaded_exp": "c19c574ccf513b78",
+    "warm_start": "87a4cf3130d5515d",
+    "zero_arrivals": "58c21f0f5f8a775b",
+}
 
 MINIMAL = """
 name = minimal
@@ -31,6 +45,79 @@ replications = 2
 seed = 99
 snapshot_times = 0.25,0.5
 """
+
+
+# Values a fuzzed scenario draws for each key: valid literals first, then
+# the kinds of breakage a hand-written file shows.
+VALID = {
+    "name": ("fuzz", "two words", "a=b"),
+    "lambda": ("0.5", "0", "2.0"),
+    "service": ("exponential rate=1.0", "lognormal mu=0.0 sigma=0.5",
+                "uniform a=0.0 b=2.0", "deterministic value=0.5"),
+    "rate": ("constant value=1.0", "capped_linear base=0.5 slope=1.0 cap=2.0",
+             "table knots=0:1,2:1.5 lipschitz=0.25"),
+    "horizon": ("1.0", "3.0", "0.0"),
+    "arrival": ("exponential", "deterministic", "uniform"),
+    "initial": ("empty", "scaled_tail mass=0.6", "scaled_tail mass=1.0",
+                "grid points=0:0.6,1:0.3,2:0"),
+    "q0": ("0", "0.5"),
+    "dt": ("0.001", "0.01", "0.5"),
+    "x_max": ("10.0", "2"),
+    "x_step": ("0.05", "0.5"),
+    "n_list": ("10,100", "5"),
+    "replications": ("3", "1"),
+    "seed": ("12345", "7"),
+    "snapshot_times": ("0.5", "0.0,1.0", "0.6,3.0"),
+}
+REQUIRED = ("name", "lambda", "service", "rate", "horizon")
+BROKEN = (
+    "nan", "inf", "-inf", "1e400", "1e-320", "-1", "-0.5", "", "1 2", "x", "=", "1,,2",
+    "exponential", "exponential rate=nan", "exponential rate=1 rate=2",
+    "exponential rate=1 stray", "lognormal mu=1e400 sigma=1",
+    "lognormal mu=800 sigma=0.5", "bogus value=1",
+    "capped_linear base=nan slope=1 cap=2", "capped_linear base=-1 slope=1 cap=2",
+    "table knots=0:1,1:nan lipschitz=1", "table knots=0:1 lipschitz=1",
+    "table knots=0;1,1:2 lipschitz=1", "grid points=", "grid points=0:inf",
+    "scaled_tail mass=-1", "empty mass=1",
+)
+
+
+@st.composite
+def scenario_texts(draw):
+    """A valid file with each optional key kept or left to its default,
+    then up to three faults: a broken value, a dropped key or a repeat."""
+    lines = [(key, draw(st.sampled_from(valid))) for key, valid in VALID.items()
+             if key in REQUIRED or draw(st.booleans())]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        fault = draw(st.sampled_from(("break", "break", "drop", "repeat")))
+        if fault == "break":
+            lines[i] = (lines[i][0], draw(st.sampled_from(BROKEN)))
+        elif fault == "drop" and len(lines) > 1:
+            del lines[i]
+        elif fault == "repeat":
+            lines.append(lines[i])
+    lines = draw(st.permutations(lines))
+    return "".join(f"{key} = {value}\n" for key, value in lines)
+
+
+def _with_line(text, line):
+    """``text`` with ``line`` as its last line in place of any line for the
+    same key, and the number of that line."""
+    key = line.split("=", 1)[0].strip()
+    kept = [l for l in text.strip().splitlines() if l.split("=", 1)[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n", len(kept) + 1
+
+
+BAD_NUMBER_LINES = [
+    "service =",
+    "horizon = inf",
+    "seed = 1e400",
+    "replications = nan",
+    "lambda = nan",
+    "rate = capped_linear base=nan slope=1 cap=2",
+    "dt = 1e-320",  # T/dt overflows the step count
+]
 
 
 class TestParse:
@@ -91,6 +178,19 @@ class TestParse:
         with pytest.raises(ScenarioError, match="snapshot"):
             parse_scenario(MINIMAL + "snapshot_times = 1.0,9.0\n")
 
+    @pytest.mark.parametrize("text", [
+        # the default snapshot T/5 = 0.6 falls between the grid points 0.5 and 1
+        MINIMAL.replace("horizon = 5.0", "horizon = 3.0") + "dt = 0.5\n",
+        MINIMAL + "dt = 0.5\nsnapshot_times = 1.0,2.25\n",
+    ], ids=["default", "explicit"])
+    def test_snapshot_off_time_grid_rejected(self, text):
+        with pytest.raises(ScenarioError, match="snapshot_times.*not on the dt grid"):
+            parse_scenario(text)
+
+    def test_snapshot_on_coarse_time_grid_accepted(self):
+        sc = parse_scenario(MINIMAL + "dt = 0.5\nsnapshot_times = 0.5,2.5\n")
+        assert sc.time_grid().tolist() == [0.5 * i for i in range(11)]
+
     def test_round_trip(self):
         for text in (MINIMAL, TINY):
             sc = parse_scenario(text)
@@ -111,6 +211,22 @@ horizon = 2.0
 """
         sc = parse_scenario(text)
         assert parse_scenario(serialize_scenario(sc)) == sc
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(scenario_texts())
+    def test_parse_rejects_or_round_trips(self, text):
+        try:
+            sc = parse_scenario(text)
+        except ScenarioError:
+            return
+        again = parse_scenario(serialize_scenario(sc))
+        assert again == sc
+        assert scenario_hash(again) == scenario_hash(sc)
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_HASHES))
+    def test_shipped_scenario_hash_pinned(self, name, scenario_dir):
+        sc = load_scenario(scenario_dir / f"{name}.scn")
+        assert scenario_hash(sc) == SHIPPED_HASHES[name]
 
 
 def run_cli(args):
@@ -164,8 +280,6 @@ class TestCli:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_headers_carry_hash_and_seed(self, tmp_path, tiny_scenario):
-        from fluidq.scenario import load_scenario
-
         sc = load_scenario(tiny_scenario)
         for cmd in ("simulate", "solve", "compare", "gc-check"):
             out = tmp_path / cmd
@@ -182,6 +296,16 @@ class TestCli:
                         str(out), "--seed", "7", "--n", "3", "--quiet"]) == 0
         assert (out / "trajectory_n3_seed7.tsv").exists()
         assert not (out / "trajectory_n5_seed99.tsv").exists()
+
+    @pytest.mark.parametrize("line", BAD_NUMBER_LINES)
+    def test_bad_number_is_config_error_naming_its_line(self, tmp_path, line):
+        text, line_no = _with_line(MINIMAL, line)
+        with pytest.raises(ScenarioError, match=f"^line {line_no}: "):
+            parse_scenario(text)
+        scn = tmp_path / "bad.scn"
+        scn.write_text(text)
+        assert run_cli(["solve", "--scenario", str(scn),
+                        "--out", str(tmp_path / "out"), "--quiet"]) == 2
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.scn"
