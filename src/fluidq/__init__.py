@@ -10,7 +10,6 @@ from .fluid import (
     fixed_point_defect,
     solve,
     solve_count_path,
-    tail_at,
     tail_on_grid,
 )
 from .harness import (
@@ -44,7 +43,6 @@ from .simulate import (
     SimState,
     Trajectory,
     init,
-    run_simulation,
     sample_initial,
     scale_trajectory,
 )

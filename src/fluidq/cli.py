@@ -20,6 +20,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .fluid import FluidAccuracyError, FluidSolution, FluidSolverError, solve
 from .harness import ConvergenceReport, convergence_experiment, glivenko_cantelli_check, run_scenario_once
 from .laws import DensityRequiredError
@@ -266,14 +268,16 @@ def main(argv=None) -> int:
 
     writer = _Writer(Path(args.out))
     try:
-        if args.command == "simulate":
-            _cmd_simulate(scenario, writer, n_list, seeds, say)
-        elif args.command == "solve":
-            _cmd_solve(scenario, writer, say)
-        elif args.command == "compare":
-            _cmd_compare(scenario, writer, n_list, seeds, say)
-        elif args.command == "gc-check":
-            _cmd_gc_check(scenario, writer, n_list, base_seed, say)
+        # an overflow or a NaN anywhere in a command is a numeric failure
+        with np.errstate(over="raise", invalid="raise"):
+            if args.command == "simulate":
+                _cmd_simulate(scenario, writer, n_list, seeds, say)
+            elif args.command == "solve":
+                _cmd_solve(scenario, writer, say)
+            elif args.command == "compare":
+                _cmd_compare(scenario, writer, n_list, seeds, say)
+            elif args.command == "gc-check":
+                _cmd_gc_check(scenario, writer, n_list, base_seed, say)
     except (ScenarioError, DensityRequiredError, ValueError) as exc:
         writer.discard_all()
         print(f"error: {exc}", file=sys.stderr)

@@ -10,17 +10,14 @@ density g),
            + lam * int_0^t Gc(K(t) - K(s)) ds
            + int_0^t (X(s) - 1)^+ k(X(s)) g(K(t) - K(s)) ds.
 
-The unknown enters through its own path and through K, so the solve
-marches in time windows sized a priori from the Lipschitz constants of the
-ingredients: over an invariant region |X| <= d3 given by a Gronwall-type
-growth bound, the fixed-point map contracts at factor <= 1/2 on windows of
-the computed length, and each window is Picard-iterated to convergence.
-That factor holds only where the computed length is at least one grid
-step.  Where the bound C is so large that the window floors at one step
-(on the shipped state_dependent scenario C*h is about 1304), the Picard
-iteration carries no a-priori guarantee; a window that does not converge
-is halved down to one step and then fails, and every solution is accepted
-only on its measured fixed-point defect.
+The solve marches in time windows and Picard-iterates each window to
+convergence.  Under a constant rate k the drain is k*t whatever the
+iterate, so the map on a window of length h contracts at g_sup*k*h; the
+window is h = min(T/10, 1/(2*g_sup*k)), floored at one grid step, and
+contracts at factor <= 1/2 whenever it is longer than one step.  Under a
+state-dependent rate the unknown also enters through K, and every window
+is one grid step.  Either way every solution is accepted only on its
+measured fixed-point defect.
 All time integrals use the trapezoid rule on a uniform grid, and one
 function, _history, evaluates the trapezoid history sum for both the
 solver and the defect.
@@ -48,7 +45,8 @@ MAX_PICARD_ITERATIONS = 80
 
 
 class FluidSolverError(RuntimeError):
-    """Fixed-point iteration failed to contract at the minimal window."""
+    """A window's Picard iteration did not reach a finite fixed point within
+    MAX_PICARD_ITERATIONS, or the solution's defect is not within tolerance."""
 
 
 class FluidAccuracyError(RuntimeError):
@@ -115,8 +113,6 @@ class FluidParams:
 @dataclass
 class SolveDiagnostics:
     window_steps: int
-    contraction_bound: float
-    invariant_radius: float
     windows: list = field(default_factory=list)  # (i0, i1, iterations, last_change)
     defect: float = math.nan
 
@@ -162,51 +158,18 @@ def _ingredients(params: FluidParams):
     return h1, h2, drain_coeff, svc.pdf
 
 
-def _product(*factors) -> float:
-    """Product of nonnegative factors in which zero times infinity is zero:
-    a constant that vanishes switches its term off even when the radius it
-    multiplies has overflowed."""
-    return 0.0 if 0.0 in factors else math.prod(factors)
-
-
-def window_length_steps(params: FluidParams):
-    """A-priori window size (in grid steps) and the bound it comes from.
-
-    Constants are taken over the invariant region |X| <= d3 from the
-    growth bound d3 = (F(0) + q0 + lam*T) * exp(k_sup * g_sup * T), which
-    is infinite when the exponential overflows; the window length h
-    solves C*h = 1/2 and is then capped at T/10 and floored at one grid
-    step.  The map contracts at factor <= 1/2 only when the floor is not
-    hit; otherwise C*h > 1/2 and the returned C says by how much.
-
-    Returns (steps, C, d3).
-    """
-    lam, q0, T = params.arrival_rate, params.initial_queue, params.horizon
-    gb = params.service.density_bound
-    lg = params.service.density_lipschitz
-    kb = params.rate.bound
-    lk = params.rate.lipschitz
-    l1 = params.initial_tail.lipschitz + q0 * gb
-    l2 = lam * gb
-    d1 = params.initial_tail.total_mass + q0 + lam * T
-    try:
-        growth = math.exp(kb * gb * T)
-    except OverflowError:
-        growth = math.inf
-    d3 = _product(d1, growth)
-    drain_sup = _product(d3, kb)        # sup of (x-1)^+ k(x) over |x| <= d3+1
-    drain_lip = kb + _product(d3, lk)
-    contraction = (
-        l1 * lk + l2 * lk * T + _product(drain_sup, lg, lk, T) + gb * drain_lip
-    )
+def window_length_steps(params: FluidParams) -> int:
+    """Window length of the march in grid steps: one step under a
+    state-dependent rate; under a constant rate k, h = min(T/10,
+    1/(2*g_sup*k)) floored at one step, on which the map contracts at
+    g_sup*k*h <= 1/2 unless the floor is hit."""
+    if params.rate.lipschitz != 0.0:
+        return 1
+    h = params.horizon / 10.0
+    contraction = params.service.density_bound * params.rate.bound
     if contraction > 0:
-        h = 0.5 / contraction
-    else:
-        h = T / 10.0
-    h = min(h, T / 10.0)
-    dt = params.dt_effective
-    steps = max(1, int(math.floor(h / dt + 1e-12)))
-    return steps, contraction, d3
+        h = min(h, 0.5 / contraction)
+    return max(1, int(math.floor(h / params.dt_effective + 1e-12)))
 
 
 def _cumtrapz(values: np.ndarray, dt: float) -> np.ndarray:
@@ -293,10 +256,8 @@ def solve_count_path(params: FluidParams, start: str = "constant"):
     x = np.zeros(n_steps + 1)
     x[0] = params.initial_count
 
-    win_steps, contraction, d3 = window_length_steps(params)
-    diag = SolveDiagnostics(
-        window_steps=win_steps, contraction_bound=contraction, invariant_radius=d3
-    )
+    win_steps = window_length_steps(params)
+    diag = SolveDiagnostics(window_steps=win_steps)
     if params.arrival_rate == 0.0 and params.initial_tail.total_mass == 0.0:
         # nothing ever enters: the zero path solves the equation exactly
         return x, diag
@@ -317,10 +278,8 @@ def solve_count_path(params: FluidParams, start: str = "constant"):
             drain[i0 + 1 : i1 + 1] = drain[i0] + _cumtrapz(k_all[i0 : i1 + 1], dt)[1:]
         coeff[i0 + 1 : i1 + 1] = drain_coeff(phi)
 
-    i0 = 0
-    pending = win_steps
-    while i0 < n_steps:
-        i1 = min(i0 + pending, n_steps)
+    for i0 in range(0, n_steps, win_steps):
+        i1 = min(i0 + win_steps, n_steps)
         if start == "constant":
             phi = np.full(i1 - i0, x[i0])
         else:
@@ -329,8 +288,6 @@ def solve_count_path(params: FluidParams, start: str = "constant"):
             )
             phi = h1(guess_drain)
         gw = None
-        converged = False
-        last_change = math.inf
         for it in range(1, MAX_PICARD_ITERATIONS + 1):
             follow(phi, i0, i1)
             if gw is None or not constant_rate:
@@ -340,27 +297,16 @@ def solve_count_path(params: FluidParams, start: str = "constant"):
             change = float(np.max(np.abs(rhs - phi)))
             phi = rhs
             scale = 1.0 + float(np.max(np.abs(phi)))
-            if change <= PICARD_TOL_FACTOR * scale:
-                converged = True
-                last_change = change
+            if math.isfinite(change) and change <= PICARD_TOL_FACTOR * scale:
                 break
-            if change > 10.0 * (d3 + 1.0):
-                break  # clearly diverging; do not burn the iteration budget
-            last_change = change
-        if not converged:
-            if pending > 1:
-                pending = max(1, pending // 2)  # retry this window shorter
-                continue
+        else:
             raise FluidSolverError(
-                f"no contraction on [{times[i0]:.6g}, {times[i1]:.6g}] at the "
-                f"minimal window (last change {last_change:.3g}); "
-                f"a-priori bound {contraction:.3g}, radius {d3:.3g}"
+                f"no convergence on [{times[i0]:.6g}, {times[i1]:.6g}] in "
+                f"{MAX_PICARD_ITERATIONS} Picard iterations (last change {change:.3g})"
             )
         x[i0 + 1 : i1 + 1] = phi
         follow(phi, i0, i1)
-        diag.windows.append((i0, i1, it, last_change))
-        i0 = i1
-        pending = win_steps
+        diag.windows.append((i0, i1, it, change))
     return x, diag
 
 
@@ -424,17 +370,6 @@ def _grid_index(times: np.ndarray, t: float) -> int:
     return i
 
 
-def tail_at(params: FluidParams, solution: "FluidSolution", x: float, t: float) -> float:
-    """z(t, x) for a single point; ``t`` must be a grid time."""
-    i = _grid_index(solution.times, t)
-    return float(
-        tail_on_grid(
-            params, solution.count, solution.drained, solution.started, i,
-            np.array([float(x)]),
-        )[0]
-    )
-
-
 def solve(
     params: FluidParams,
     x_grid=None,
@@ -453,7 +388,7 @@ def solve(
     x_grid = np.asarray(x_grid, dtype=float)
     count, diag = solve_count_path(params, start=start)
     diag.defect = fixed_point_defect(params, count)
-    if diag.defect > defect_tolerance(count):
+    if not diag.defect <= defect_tolerance(count):
         raise FluidSolverError(
             f"defect {diag.defect:.3g} above tolerance {defect_tolerance(count):.3g}"
         )

@@ -3,8 +3,10 @@
 A :class:`ServiceLaw` bundles exactly the analytic data the fluid equations
 consume (cdf, tail, density with its sup and Lipschitz constant) with a
 seedable sampler for the event-driven simulator.  Constants are supplied in
-closed form by each constructor, never estimated, because the fluid
-solver's window-length rule is built from them.
+closed form by each constructor, never estimated: the fluid solver sizes
+its windows from the density bound and the rate bound, and reads a rate's
+Lipschitz constant to tell a constant rate (zero) from a state-dependent
+one.
 """
 
 from __future__ import annotations
@@ -277,11 +279,11 @@ def capped_linear_rate(base: float, slope: float, cap: float) -> RateFunction:
     )
 
 
-def table_rate(xs, ks, lipschitz: float) -> RateFunction:
+def table_rate(xs, ks) -> RateFunction:
     """Piecewise-linear rate from a table; flat beyond the last knot.
 
-    The caller declares the Lipschitz constant; it is validated against the
-    table's slopes so the solver's window rule stays sound.
+    The Lipschitz constant is the steepest slope between knots, so a flat
+    table is a constant rate.
     """
     xs = np.asarray(xs, dtype=float)
     ks = np.asarray(ks, dtype=float)
@@ -291,23 +293,18 @@ def table_rate(xs, ks, lipschitz: float) -> RateFunction:
         raise ValueError("table knots must increase strictly")
     if np.min(ks) < 0:
         raise ValueError("table rates must be >= 0")
-    max_slope = float(np.max(np.abs(np.diff(ks)) / np.diff(xs)))
-    if lipschitz + 1e-12 < max_slope:
-        raise ValueError(
-            f"declared Lipschitz constant {lipschitz} below table slope {max_slope}"
-        )
     return RateFunction(
         kind="table",
-        params={"xs": tuple(xs), "ks": tuple(ks), "lipschitz": lipschitz},
+        params={"xs": tuple(xs), "ks": tuple(ks)},
         fn=lambda x: np.interp(np.asarray(x, dtype=float), xs, ks),
         bound=float(np.max(ks)),
-        lipschitz=float(lipschitz),
+        lipschitz=float(np.max(np.abs(np.diff(ks)) / np.diff(xs))),
     )
 
 
-def _table_rate_from_knots(knots, lipschitz: float) -> RateFunction:
+def _table_rate_from_knots(knots) -> RateFunction:
     xs, ks = zip(*knots)
-    return table_rate(xs, ks, lipschitz)
+    return table_rate(xs, ks)
 
 
 RATE_KINDS = {

@@ -10,7 +10,7 @@ Schema (keys are lowercase, one ``key = value`` per line, ``#`` comments):
                               ``deterministic value=0.5``
     rate            required  ``constant value=1.0`` |
                               ``capped_linear base=0.5 slope=1.0 cap=2.0`` |
-                              ``table knots=0:1,2:1.5 lipschitz=0.25``
+                              ``table knots=0:1,2:1.5``
     horizon         required  simulation/solve horizon T, >= 0
     arrival         default exponential; one of exponential | deterministic | uniform
     initial         default ``empty``; or ``scaled_tail mass=0.6`` (that
@@ -25,8 +25,9 @@ Schema (keys are lowercase, one ``key = value`` per line, ``#`` comments):
     snapshot_times  default T/5, T/2, T; each must lie on the time grid,
                     ``round(T/dt)`` equal steps on [0, T], to within 1e-9
 
-Every number, law parameters and x:y pairs included, must be finite, and
-``T/dt`` may not exceed 10^7 steps.
+Every number, law parameters and x:y pairs included, must be finite;
+``replications`` and ``seed`` must be integers.  ``T/dt`` may not exceed
+10^7 steps, ``x_max/x_step`` 10^5 cells, and ``replications`` 10^6.
 
 Unknown keys are rejected with their line number.  Round trip holds:
 parsing the canonical serialization reproduces the scenario exactly.
@@ -80,7 +81,7 @@ _LAWS = {
     "rate": {
         "constant": ("value",),
         "capped_linear": ("base", "slope", "cap"),
-        "table": ("knots", "lipschitz"),
+        "table": ("knots",),
     },
     "initial": {
         "empty": (),
@@ -91,8 +92,12 @@ _LAWS = {
 _PAIR_PARAMS = {"knots", "points"}
 
 # The parser builds the time grid to check the snapshot times against it,
-# so the step count is capped: 10^7 steps make an 80 MB grid.
+# so the step count is capped: 10^7 steps make an 80 MB grid.  The x-grid
+# is capped so that a tail surface of about 100 rows stays as large, and
+# the replication count so that the CLI's list of seeds does.
 _MAX_TIME_STEPS = 10**7
+_MAX_X_CELLS = 10**5
+_MAX_REPLICATIONS = 10**6
 
 
 @dataclass(frozen=True)
@@ -240,6 +245,12 @@ def parse_scenario(text: str) -> Scenario:
             fail(key, f"{key} must be >= {at_least}")
         return value
 
+    def integer(key, at_least=-math.inf) -> int:
+        value = number(key, at_least)
+        if value != int(value):
+            fail(key, f"'{key}' needs an integer, got '{values[key]}'")
+        return int(value)
+
     def law(key):
         return _parse_law(key, values[key], lines.get(key, 0))
 
@@ -263,6 +274,9 @@ def parse_scenario(text: str) -> Scenario:
     x_step = number("x_step")
     if x_max <= 0 or x_step <= 0 or x_step > x_max:
         raise ScenarioError("x_max and x_step must be positive with x_step <= x_max")
+    if not x_max / x_step <= _MAX_X_CELLS:
+        fail("x_step" if "x_step" in lines else "x_max",
+             f"x_max/x_step gives more than {_MAX_X_CELLS} x-grid cells")
 
     try:
         n_list = tuple(int(v) for v in values["n_list"].split(","))
@@ -271,8 +285,10 @@ def parse_scenario(text: str) -> Scenario:
     if not n_list or any(n < 1 for n in n_list):
         fail("n_list", "n_list entries must be >= 1")
 
-    replications = int(number("replications", 1))
-    seed = int(number("seed"))
+    replications = integer("replications", 1)
+    if replications > _MAX_REPLICATIONS:
+        fail("replications", f"replications may not exceed {_MAX_REPLICATIONS}")
+    seed = integer("seed")
 
     if "snapshot_times" in raw:
         snapshot_times = tuple(

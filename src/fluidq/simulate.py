@@ -313,17 +313,14 @@ class Simulator:
         r = self._current_rate()
         return r, self._departure_time(r), self._gaps.next_time
 
-    def next_event(self) -> list:
-        """Advance to the next event; departures win ties with arrivals.
+    def _step(self, r: float, dep: float, arr: float) -> list:
+        """Advance to the next event given the current
+        ``peek_next_time()``; departures win ties with arrivals.
 
         Returns the list of log entries produced (simultaneous departures
         come out as one event, ordered by customer index) or an empty list
         when no further event can occur.
         """
-        return self._step(*self.peek_next_time())
-
-    def _step(self, r: float, dep: float, arr: float) -> list:
-        """``next_event`` given the current ``peek_next_time()``."""
         s = self.state
         if min(dep, arr) == math.inf:
             return []
@@ -441,21 +438,6 @@ class Simulator:
             records=s.records,
             initial_count=s.initial_count,
         )
-
-
-def run_simulation(
-    n: int,
-    service,
-    rate: RateFunction,
-    arrivals=None,
-    state: Optional[SimState] = None,
-    seed: int = 0,
-    horizon: float = 1.0,
-    grid=None,
-    snapshot_times=(),
-) -> Trajectory:
-    sim = Simulator(n, service, rate, arrivals=arrivals, state=state, seed=seed)
-    return sim.run(horizon, grid=grid, snapshot_times=snapshot_times)
 
 
 def scale_trajectory(traj: Trajectory, n: int) -> Trajectory:

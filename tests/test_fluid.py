@@ -11,6 +11,7 @@ from fluidq.laws import (
     make_deterministic,
     make_exponential,
     make_lognormal,
+    table_rate,
 )
 from fluidq.measures import TailFunction
 
@@ -115,9 +116,7 @@ class TestSolveCount:
         assert np.max(np.abs(a - b)) <= 10 * fm.defect_tolerance(a)
 
     def test_tabulated_rate_solves(self):
-        from fluidq.laws import table_rate
-
-        k = table_rate([0.0, 0.5, 1.5], [1.5, 1.0, 1.0], lipschitz=1.0)
+        k = table_rate([0.0, 0.5, 1.5], [1.5, 1.0, 1.0])
         p = params_for(0.8, horizon=2.0, dt=2e-3, rate=k)
         x, diag = fm.solve_count_path(p)
         assert fm.fixed_point_defect(p, x) <= fm.defect_tolerance(x)
@@ -152,6 +151,45 @@ class TestSolveCount:
     def test_window_length_uses_capped_tenth(self, underloaded):
         _, _, diag = underloaded
         assert diag.window_steps == 500  # T/10 at dt = 1e-3
+
+    def test_window_length_uses_contraction_at_half(self):
+        # g_sup * k = 4 * 1.25 = 5, so h = 1/(2*5) = 0.1 < T/10 = 0.5
+        p = params_for(0.5, horizon=5.0, service=make_exponential(4.0),
+                       rate=constant_rate(1.25))
+        assert fm.window_length_steps(p) == 100
+        _, diag = fm.solve_count_path(p)
+        assert {i1 - i0 for i0, i1, _, _ in diag.windows} == {100}
+
+    @pytest.mark.parametrize("rate", [
+        capped_linear_rate(0.5, 1.0, 2.0),
+        capped_linear_rate(1.0, 1e-6, 2.0),
+        table_rate([0.0, 1.0], [1.0, 1.5]),
+    ], ids=["capped_linear", "nearly_flat", "table"])
+    def test_state_dependent_rate_gets_one_step_windows(self, rate):
+        p = params_for(1.2, horizon=0.5, dt=5e-3, rate=rate)
+        assert fm.window_length_steps(p) == 1
+        x, diag = fm.solve_count_path(p)
+        assert len(diag.windows) == p.steps
+        assert all(i1 - i0 == 1 for i0, i1, _, _ in diag.windows)
+        assert fm.fixed_point_defect(p, x) <= fm.defect_tolerance(x)
+
+    def test_flat_table_takes_constant_rate_branch(self):
+        flat = table_rate([0.0, 2.0], [1.5, 1.5])
+        assert flat.lipschitz == 0.0
+        p_flat = params_for(0.8, horizon=2.0, dt=2e-3, rate=flat)
+        p_const = params_for(0.8, horizon=2.0, dt=2e-3, rate=constant_rate(1.5))
+        assert fm.window_length_steps(p_flat) == fm.window_length_steps(p_const) > 1
+        x_flat, _ = fm.solve_count_path(p_flat)
+        x_const, _ = fm.solve_count_path(p_const)
+        assert np.array_equal(x_flat, x_const)
+
+    def test_overflowing_iterate_is_not_converged(self):
+        # one step of length 1 where g(0)*dt/2 = 5e5: the Picard iterate
+        # overflows to inf, which must not count as a converged window
+        p = params_for(3.0, horizon=1.0, dt=1.0, service=make_exponential(1e6))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(fm.FluidSolverError, match="no convergence"):
+                fm.solve_count_path(p)
 
 
 class TestDrainAndStarts:
@@ -199,8 +237,8 @@ class TestTailSurface:
         p = params_for(0.3, horizon=2.0, initial_tail=tail0)
         sol = fm.solve(p)
         xs = np.array([0.0, 0.4, 1.3, 5.0])
-        for x in xs:
-            assert fm.tail_at(p, sol, x, 0.0) == pytest.approx(float(tail0(x)), abs=1e-12)
+        z = fm.tail_on_grid(p, sol.count, sol.drained, sol.started, 0, xs)
+        assert np.max(np.abs(z - tail0(xs))) <= 1e-12
 
     def test_underloaded_product_form(self, underloaded):
         p, x, _ = underloaded
@@ -229,9 +267,8 @@ class TestTailSurface:
 
     def test_off_grid_time_rejected(self, underloaded):
         p, x, _ = underloaded
-        sol = fm.solve(p)
         with pytest.raises(ValueError, match="grid"):
-            fm.tail_at(p, sol, 0.0, 0.00123456)
+            fm.solve(p, surface_times=[0.00123456])
 
 
 class TestWarmStartClosedForms:

@@ -43,7 +43,9 @@ class TestDiscretize:
     def test_total_mass_matches_leftmost_tail(self, solved):
         _, params, sol = solved("underloaded_exp")
         m = discretize_fluid_measure(sol, 2.5, params=params)
-        z0 = fm.tail_at(params, sol, 0.0, 2.5)
+        i = fm._grid_index(sol.times, 2.5)
+        z0 = float(fm.tail_on_grid(params, sol.count, sol.drained, sol.started, i,
+                                   np.array([0.0]))[0])
         assert m.total_mass == pytest.approx(z0, abs=1e-12)
 
     def test_initial_tail_discretization_close_to_fine_reference(self, solved):

@@ -167,19 +167,16 @@ class TestRateFunctions:
         assert k.bound == 2.0 and k.lipschitz == 1.0
 
     def test_table_interpolates_and_extends(self):
-        k = table_rate([0.0, 1.0, 3.0], [1.0, 2.0, 2.0], lipschitz=1.0)
+        k = table_rate([0.0, 1.0, 3.0], [1.0, 2.0, 2.0])
         assert float(k(0.5)) == 1.5
         assert float(k(7.0)) == 2.0
         assert k.bound == 2.0
-
-    def test_table_lipschitz_validated(self):
-        with pytest.raises(ValueError, match="Lipschitz"):
-            table_rate([0.0, 1.0], [0.0, 5.0], lipschitz=1.0)
+        assert k.lipschitz == 1.0  # the steepest slope between knots
 
     def test_bounds_hold_on_samples(self):
         rng = np.random.default_rng(9)
         for k in (constant_rate(1.0), capped_linear_rate(0.5, 1.0, 2.0),
-                  table_rate([0, 1, 2], [1, 0.5, 1.5], lipschitz=1.0)):
+                  table_rate([0, 1, 2], [1, 0.5, 1.5])):
             xs = rng.uniform(0, 10, 2000)
             ys = np.clip(xs + rng.uniform(-0.1, 0.1, xs.size), 0, None)
             vx, vy = k(xs), k(ys)

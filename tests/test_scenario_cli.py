@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -55,7 +58,7 @@ VALID = {
     "service": ("exponential rate=1.0", "lognormal mu=0.0 sigma=0.5",
                 "uniform a=0.0 b=2.0", "deterministic value=0.5"),
     "rate": ("constant value=1.0", "capped_linear base=0.5 slope=1.0 cap=2.0",
-             "table knots=0:1,2:1.5 lipschitz=0.25"),
+             "table knots=0:1,2:1.5"),
     "horizon": ("1.0", "3.0", "0.0"),
     "arrival": ("exponential", "deterministic", "uniform"),
     "initial": ("empty", "scaled_tail mass=0.6", "scaled_tail mass=1.0",
@@ -76,8 +79,8 @@ BROKEN = (
     "exponential rate=1 stray", "lognormal mu=1e400 sigma=1",
     "lognormal mu=800 sigma=0.5", "bogus value=1",
     "capped_linear base=nan slope=1 cap=2", "capped_linear base=-1 slope=1 cap=2",
-    "table knots=0:1,1:nan lipschitz=1", "table knots=0:1 lipschitz=1",
-    "table knots=0;1,1:2 lipschitz=1", "grid points=", "grid points=0:inf",
+    "table knots=0:1,1:nan", "table knots=0:1", "table knots=0;1,1:2",
+    "table knots=0:1,1:2 lipschitz=1", "grid points=", "grid points=0:inf",
     "scaled_tail mass=-1", "empty mass=1",
 )
 
@@ -117,6 +120,11 @@ BAD_NUMBER_LINES = [
     "lambda = nan",
     "rate = capped_linear base=nan slope=1 cap=2",
     "dt = 1e-320",  # T/dt overflows the step count
+    "replications = 2.7",
+    "seed = 4.9",
+    "replications = 1e9",  # the CLI would build a billion seeds
+    "x_step = 1e-9",  # a 1e10-point x-grid
+    "x_max = 1e9",
 ]
 
 
@@ -167,12 +175,12 @@ class TestParse:
     def test_table_rate_parses(self):
         text = MINIMAL.replace(
             "rate = constant value=1.0",
-            "rate = table knots=0:1,2:1.5,4:1.5 lipschitz=0.25",
+            "rate = table knots=0:1,2:1.5,4:1.5",
         )
         sc = parse_scenario(text)
         k = sc.build_rate()
         assert float(k(1.0)) == pytest.approx(1.25)
-        assert k.bound == 1.5
+        assert k.bound == 1.5 and k.lipschitz == 0.25
 
     def test_snapshot_beyond_horizon_rejected(self):
         with pytest.raises(ScenarioError, match="snapshot"):
@@ -340,14 +348,35 @@ class TestCli:
         "service = exponential rate=300.0\nrate = constant value=1.0\n",
     ], ids=["capped_linear_rate", "constant_rate"])
     def test_overflowing_growth_bound_solves(self, tmp_path, laws):
-        # exp(k_sup * g_sup * T) overflows a float: the invariant radius is
-        # infinite, the window floors at one step and the solve still succeeds
+        # steep service densities, g_sup * k_sup = 300 in both: each solve
+        # marches in one-step windows and still succeeds
         scn = tmp_path / "steep.scn"
         scn.write_text("name = steep\nlambda = 1.2\n" + laws + "horizon = 3.0\n")
         out = tmp_path / "out"
         code = run_cli(["solve", "--scenario", str(scn), "--out", str(out), "--quiet"])
         assert code == 0
         assert (out / "solution.tsv").exists()
+
+    def test_overflow_is_numeric_failure(self, tmp_path):
+        # the Picard iterate overflows on the single step: exit 3 with the
+        # overflow named, no artifacts and no RuntimeWarning on stderr
+        scn = tmp_path / "overflow.scn"
+        scn.write_text(
+            "name = overflow\nlambda = 3.0\nservice = exponential rate=1000000.0\n"
+            "rate = constant value=1.0\nhorizon = 1.0\ndt = 1.0\n"
+            "snapshot_times = 1.0\n"
+        )
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "fluidq.cli", "solve", "--scenario", str(scn),
+             "--out", str(out), "--quiet"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert not out.exists() or not list(out.iterdir())
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric failure: ")
+        assert "overflow" in lines[0]
 
     def test_compare_simulation_only(self, tmp_path, scenario_dir):
         out = tmp_path / "out"
@@ -371,9 +400,6 @@ class TestCli:
         assert int(final[1]) >= 1  # two deterministic arrivals happened by then
 
     def test_console_entry_point(self, tmp_path, tiny_scenario):
-        import subprocess
-        import sys
-
         out = tmp_path / "out"
         proc = subprocess.run(
             [sys.executable, "-m", "fluidq.cli", "gc-check", "--scenario",

@@ -20,7 +20,6 @@ from fluidq.simulate import (
     START,
     Simulator,
     init,
-    run_simulation,
     sample_initial,
     scale_trajectory,
 )
@@ -159,7 +158,7 @@ GRID = [i / 4 for i in range(33)]
 def _knots_at_counts(n, ks):
     """Table rate with k(c/n) = ks[c], flat beyond the last knot."""
     xs = [i / n for i in range(len(ks))]
-    return table_rate(xs, ks, float(np.max(np.abs(np.diff(ks)) / np.diff(xs))))
+    return table_rate(xs, ks)
 
 
 @st.composite
@@ -402,17 +401,3 @@ class TestSampledInitial:
                          arrivals=make_arrivals("exponential", 1.0), seed=3).run(0.0)
         assert traj.times.tolist() == [0.0]
         assert traj.events == []
-
-    def test_run_simulation_wrapper(self):
-        traj = run_simulation(
-            2, make_exponential(1.0), constant_rate(1.0),
-            arrivals=make_arrivals("exponential", 1.0), seed=5, horizon=3.0,
-            grid=np.linspace(0, 3, 7),
-        )
-        again = run_simulation(
-            2, make_exponential(1.0), constant_rate(1.0),
-            arrivals=make_arrivals("exponential", 1.0), seed=5, horizon=3.0,
-            grid=np.linspace(0, 3, 7),
-        )
-        assert traj.events == again.events
-        assert traj.times.size == 7
