@@ -31,7 +31,7 @@ idx = np.searchsorted(sol.times, sol.surface_times)
 target = np.exp(-sol.x_grid)[None, :] * exact[idx][:, None]
 print(f"  sup |tail - e^-x X|        : {np.max(np.abs(sol.tail_surface - target)):.2e}")
 d = sol.diagnostics
-print(f"  windows {len(d.windows)}, iterations {d.total_iterations}, "
+print(f"  {d.march} march, nodes {len(d.windows)}, iterations {d.total_iterations}, "
       f"defect {d.defect:.2e}")
 
 print("\n== overloaded, lambda = 2 ==")

@@ -194,16 +194,19 @@ def _cmd_simulate(scenario, writer: _Writer, n_list, seeds, say):
 def _cmd_solve(scenario, writer: _Writer, say):
     params = scenario.fluid_params()
     sol = solve(params, x_grid=scenario.x_grid())
+    diag = sol.diagnostics
     header = _base_header(scenario, "solve", scenario.seed) + [
         f"dt: {params.dt_effective!r}",
         f"grid_points: {sol.times.size}",
+        f"march: {diag.march}",
+        f"du: {diag.du!r}",
+        f"nodes: {len(diag.windows)}",
+        f"iterations: {diag.total_iterations}",
+        f"defect: {diag.defect:.3e}",
     ]
     writer.write("solution.tsv", solution_to_text(sol, header))
     writer.write("tail_surface.tsv", surface_to_text(sol, header))
-    say(
-        f"solve: {len(sol.diagnostics.windows)} windows, "
-        f"defect {sol.diagnostics.defect:.3g}"
-    )
+    say(f"solve: {diag.march} march, {len(diag.windows)} nodes, defect {diag.defect:.3g}")
 
 
 def _cmd_compare(scenario, writer: _Writer, n_list, seeds, say):

@@ -3,10 +3,9 @@
 A :class:`ServiceLaw` bundles exactly the analytic data the fluid equations
 consume (cdf, tail, density with its sup and Lipschitz constant) with a
 seedable sampler for the event-driven simulator.  Constants are supplied in
-closed form by each constructor, never estimated: the fluid solver sizes
-its windows from the density bound and the rate bound, and reads a rate's
-Lipschitz constant to tell a constant rate (zero) from a state-dependent
-one.
+closed form by each constructor, never estimated: the fluid solver reads a
+rate's floor and bound to choose its march and drain step, and bounds its
+quadrature slack with the density bound.
 """
 
 from __future__ import annotations
@@ -242,13 +241,16 @@ ARRIVAL_KINDS = ("exponential", "deterministic", "uniform")
 @dataclass(frozen=True)
 class RateFunction:
     """Bounded Lipschitz per-server work rate as a function of the scaled
-    customer count.  ``bound`` and ``lipschitz`` are exact, not estimated."""
+    customer count.  ``bound`` and ``lipschitz`` are exact, not estimated,
+    and so is ``floor``, the infimum of k over x >= 0: the fluid solver
+    marches in drain time when it is positive."""
 
     kind: str
     params: dict
     fn: Callable = field(repr=False)
     bound: float
     lipschitz: float
+    floor: float
 
     def __call__(self, x):
         return self.fn(np.maximum(np.asarray(x, dtype=float), 0.0))
@@ -263,6 +265,7 @@ def constant_rate(value: float) -> RateFunction:
         fn=lambda x: np.full_like(np.asarray(x, dtype=float), value),
         bound=value,
         lipschitz=0.0,
+        floor=value,
     )
 
 
@@ -276,6 +279,7 @@ def capped_linear_rate(base: float, slope: float, cap: float) -> RateFunction:
         fn=lambda x: np.minimum(base + slope * np.asarray(x, dtype=float), cap),
         bound=cap if slope > 0 else min(base, cap),
         lipschitz=slope,
+        floor=min(base, cap),
     )
 
 
@@ -283,7 +287,8 @@ def table_rate(xs, ks) -> RateFunction:
     """Piecewise-linear rate from a table; flat beyond the last knot.
 
     The Lipschitz constant is the steepest slope between knots, so a flat
-    table is a constant rate.
+    table is a constant rate.  The floor is the least value at x = 0 or at
+    a knot at or beyond 0.
     """
     xs = np.asarray(xs, dtype=float)
     ks = np.asarray(ks, dtype=float)
@@ -299,6 +304,7 @@ def table_rate(xs, ks) -> RateFunction:
         fn=lambda x: np.interp(np.asarray(x, dtype=float), xs, ks),
         bound=float(np.max(ks)),
         lipschitz=float(np.max(np.abs(np.diff(ks)) / np.diff(xs))),
+        floor=float(min(np.interp(0.0, xs, ks), np.min(ks[xs >= 0.0], initial=np.inf))),
     )
 
 

@@ -2,13 +2,15 @@
 
 Run from the repository root:
 
-    python tests/fixtures/regenerate.py
+    python tests/fixtures/regenerate.py                   # every fixture
+    python tests/fixtures/regenerate.py state_dependent   # only the named ones
 
 The acceptance suite compares freshly computed statistics against these
 frozen values, so regenerate only when the underlying algorithms change on
 purpose, and commit the result together with that change.
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +69,13 @@ def gc_fixture() -> None:
     write("gc_exponential.txt", lines)
 
 
+FIXTURES = {
+    "underloaded_exp": lambda: convergence_fixture("underloaded_exp"),
+    "state_dependent": lambda: convergence_fixture("state_dependent"),
+    "gc": gc_fixture,
+}
+
+
 if __name__ == "__main__":
-    convergence_fixture("underloaded_exp")
-    convergence_fixture("state_dependent")
-    gc_fixture()
+    for name in sys.argv[1:] or FIXTURES:
+        FIXTURES[name]()

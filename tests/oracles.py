@@ -4,8 +4,9 @@ Everything here deliberately avoids the package's own algorithms: the
 Prohorov oracle enumerates subsets against the raw definition, the drain
 ODE is integrated by a plain fixed-step RK4 loop, the right-hand side
 of the count equation is summed by plain trapezoid loops over scalar calls
-of the law callables, and the reference simulator keeps every residual
-explicitly and drains each one at every event.
+of the law callables, the tail surface is a plain-loop midpoint
+Stieltjes sum over the time grid, and the reference simulator keeps every
+residual explicitly and drains each one at every event.
 """
 
 import itertools
@@ -105,6 +106,23 @@ def count_equation_rhs(count, dt: float, arrival_rate: float, initial_queue: flo
         for m in range(1, i + 1):
             total += 0.5 * dt * (integrand[m - 1] + integrand[m])
         out.append(total)
+    return out
+
+
+def tail_midpoint_sum(x_grid, drained, started, i: int, initial_tail, service_tail) -> list:
+    """Residual tail z(t_i, x) at each x of ``x_grid``: F(x + K_i) plus the
+    midpoint Stieltjes sum over the time-grid intervals,
+
+        sum_j Gc(x + K_i - (K_j + K_{j+1})/2) * (B_{j+1} - B_j),  j < i,
+
+    written as loops over scalar calls of the callables."""
+    out = []
+    for x in x_grid:
+        z = float(initial_tail(x + drained[i]))
+        for j in range(i):
+            mid = 0.5 * (drained[j] + drained[j + 1])
+            z += float(service_tail(x + drained[i] - mid)) * (started[j + 1] - started[j])
+        out.append(z)
     return out
 
 

@@ -15,7 +15,13 @@ from fluidq.laws import (
 )
 from fluidq.measures import TailFunction
 
-from oracles import count_equation_rhs, overloaded_count, rk4_drain_ode, underloaded_count
+from oracles import (
+    count_equation_rhs,
+    overloaded_count,
+    rk4_drain_ode,
+    tail_midpoint_sum,
+    underloaded_count,
+)
 
 
 def params_for(lam, horizon=5.0, dt=1e-3, service=None, rate=None,
@@ -148,40 +154,73 @@ class TestSolveCount:
         )
         assert np.max(np.abs(np.diff(x))) <= c * p.dt_effective + 1e-12
 
-    def test_window_length_uses_capped_tenth(self, underloaded):
-        _, _, diag = underloaded
-        assert diag.window_steps == 500  # T/10 at dt = 1e-3
-
-    def test_window_length_uses_contraction_at_half(self):
-        # g_sup * k = 4 * 1.25 = 5, so h = 1/(2*5) = 0.1 < T/10 = 0.5
-        p = params_for(0.5, horizon=5.0, service=make_exponential(4.0),
-                       rate=constant_rate(1.25))
-        assert fm.window_length_steps(p) == 100
-        _, diag = fm.solve_count_path(p)
-        assert {i1 - i0 for i0, i1, _, _ in diag.windows} == {100}
-
-    @pytest.mark.parametrize("rate", [
-        capped_linear_rate(0.5, 1.0, 2.0),
-        capped_linear_rate(1.0, 1e-6, 2.0),
-        table_rate([0.0, 1.0], [1.0, 1.5]),
-    ], ids=["capped_linear", "nearly_flat", "table"])
-    def test_state_dependent_rate_gets_one_step_windows(self, rate):
+    @pytest.mark.parametrize("rate,march", [
+        (constant_rate(1.5), "drain"),
+        (capped_linear_rate(0.5, 1.0, 2.0), "drain"),
+        (capped_linear_rate(1.0, 1e-6, 2.0), "drain"),
+        (table_rate([0.0, 1.0], [1.0, 1.5]), "drain"),
+        (capped_linear_rate(0.1, 1.0, 2.0), "time"),  # k_sup/k_min = 20 > 16
+        (constant_rate(0.0), "time"),
+        (capped_linear_rate(0.0, 1.0, 2.0), "time"),
+        (table_rate([0.0, 1.0, 2.0], [1.0, 0.0, 1.0]), "time"),
+    ], ids=["constant", "capped_linear", "nearly_flat", "table", "wide_spread", "constant_zero",
+            "capped_linear_zero", "table_zero_knot"])
+    def test_march_follows_rate_floor(self, rate, march):
         p = params_for(1.2, horizon=0.5, dt=5e-3, rate=rate)
-        assert fm.window_length_steps(p) == 1
         x, diag = fm.solve_count_path(p)
-        assert len(diag.windows) == p.steps
-        assert all(i1 - i0 == 1 for i0, i1, _, _ in diag.windows)
+        assert diag.march == march
+        if march == "drain":
+            assert diag.du == rate.floor * p.dt_effective
+            # nodes run to the first drain at or past the horizon
+            assert len(diag.windows) >= p.steps * rate.floor / rate.bound
+        else:
+            assert math.isnan(diag.du) and len(diag.windows) == p.steps
+            assert fm.fixed_point_defect(p, x) <= fm.defect_tolerance(x)
+        assert diag.total_iterations >= len(diag.windows)
+
+    def test_solve_takes_time_march_when_defect_rejects_drain_path(self):
+        # at dt = 5e-3 the drain quadrature sits ~4e-6 off the time grid's,
+        # beyond the defect tolerance; solve then marches in time
+        p = params_for(1.2, horizon=0.5, dt=5e-3, rate=capped_linear_rate(0.5, 1.0, 2.0))
+        x, _ = fm.solve_count_path(p)
+        assert fm.fixed_point_defect(p, x) > fm.defect_tolerance(x)
+        sol = fm.solve(p)
+        assert sol.diagnostics.march == "time" and len(sol.diagnostics.windows) == p.steps
+        assert sol.diagnostics.defect <= fm.defect_tolerance(sol.count)
+
+    @pytest.mark.parametrize("dt", [2e-3, 1e-3, 5e-4])
+    def test_drain_march_passes_defect_on_state_dependent(self, dt, scenario_dir):
+        import dataclasses
+
+        from fluidq.scenario import load_scenario
+
+        sc = load_scenario(scenario_dir / "state_dependent.scn")
+        p = dataclasses.replace(sc, horizon=2.0, dt=dt).fluid_params()
+        x, diag = fm.solve_count_path(p)
+        assert diag.march == "drain" and diag.du == 0.5 * p.dt_effective
         assert fm.fixed_point_defect(p, x) <= fm.defect_tolerance(x)
 
-    def test_flat_table_takes_constant_rate_branch(self):
+    @pytest.mark.parametrize("rate", [constant_rate(0.5), capped_linear_rate(0.5, 1.0, 2.0)],
+                             ids=["constant", "capped_linear"])
+    def test_drain_and_time_marches_agree(self, rate):
+        # under a constant rate the drain grid is the time grid and both
+        # marches solve one quadrature; otherwise they differ at O(dt^2)
+        p = params_for(2.0, horizon=2.0, dt=2e-3, service=make_lognormal(0.0, 0.5), rate=rate)
+        drain, _ = fm.solve_count_path(p)
+        stepped, diag = fm.solve_count_path(p, march="time")
+        assert diag.march == "time" and len(diag.windows) == p.steps
+        bound = 1e-9 if rate.lipschitz == 0.0 else 2e-6
+        assert np.max(np.abs(drain - stepped)) <= bound
+
+    def test_flat_table_matches_constant_rate(self):
         flat = table_rate([0.0, 2.0], [1.5, 1.5])
-        assert flat.lipschitz == 0.0
+        assert flat.floor == flat.bound == 1.5
         p_flat = params_for(0.8, horizon=2.0, dt=2e-3, rate=flat)
         p_const = params_for(0.8, horizon=2.0, dt=2e-3, rate=constant_rate(1.5))
-        assert fm.window_length_steps(p_flat) == fm.window_length_steps(p_const) > 1
-        x_flat, _ = fm.solve_count_path(p_flat)
-        x_const, _ = fm.solve_count_path(p_const)
+        x_flat, d_flat = fm.solve_count_path(p_flat)
+        x_const, d_const = fm.solve_count_path(p_const)
         assert np.array_equal(x_flat, x_const)
+        assert d_flat.windows == d_const.windows
 
     def test_overflowing_iterate_is_not_converged(self):
         # one step of length 1 where g(0)*dt/2 = 5e5: the Picard iterate
@@ -264,6 +303,28 @@ class TestTailSurface:
         sol = fm.solve(p)
         assert np.min(sol.tail_surface) >= -1e-9
         assert np.max(np.diff(sol.tail_surface, axis=1)) <= 1e-9
+
+    @pytest.mark.parametrize("rate,lattice,bound", [
+        (capped_linear_rate(0.5, 1.0, 2.0), True, 1e-6),
+        (constant_rate(1.0), True, 1e-12),
+        (constant_rate(0.0), False, 1e-12),
+        (capped_linear_rate(0.0, 1.0, 2.0), False, 1e-12),
+    ], ids=["capped_linear", "constant", "constant_zero", "capped_linear_zero"])
+    def test_surface_matches_time_grid_oracle(self, rate, lattice, bound):
+        # on the drain lattice the sum takes other intervals, O(dt^2) away
+        # from the time grid's, except under a constant rate where the two
+        # coincide; a rate with floor 0 sums over the time grid itself
+        p = params_for(1.2, horizon=2.0, dt=2e-3, service=make_lognormal(0.0, 0.5), rate=rate)
+        x, _ = fm.solve_count_path(p)
+        drained = fm.cumulative_drain(x, p.rate, p.dt_effective)
+        _, started = fm.queue_and_starts(x, p.arrival_rate, p.times)
+        xs = 0.25 * np.arange(13)
+        assert (fm._drain_lattice(p, xs) is not None) == lattice
+        for i in (1, 377, p.steps):
+            z = fm.tail_on_grid(p, x, drained, started, i, xs)
+            oracle = tail_midpoint_sum(xs.tolist(), drained.tolist(), started.tolist(), i,
+                                       p.initial_tail, p.service.tail)
+            assert np.max(np.abs(z - np.array(oracle))) <= bound
 
     def test_off_grid_time_rejected(self, underloaded):
         p, x, _ = underloaded

@@ -173,6 +173,21 @@ class TestRateFunctions:
         assert k.bound == 2.0
         assert k.lipschitz == 1.0  # the steepest slope between knots
 
+    @pytest.mark.parametrize("k,floor", [
+        (constant_rate(1.5), 1.5),
+        (constant_rate(0.0), 0.0),
+        (capped_linear_rate(0.5, 1.0, 2.0), 0.5),
+        (capped_linear_rate(3.0, 1.0, 2.0), 2.0),  # capped below its base
+        (table_rate([0.0, 1.0, 3.0], [1.0, 0.25, 2.0]), 0.25),
+        (table_rate([0.0, 1.0, 2.0], [1.0, 0.0, 1.0]), 0.0),  # a zero knot
+        (table_rate([-1.0, 1.0, 2.0], [0.0, 2.0, 3.0]), 1.0),  # knot left of 0
+    ], ids=["constant", "constant_zero", "capped_linear", "capped", "table",
+            "table_zero_knot", "table_negative_knot"])
+    def test_floor_is_infimum_over_nonnegative_counts(self, k, floor):
+        assert k.floor == floor
+        xs = np.concatenate([np.linspace(0.0, 5.0, 5001), [1e6]])
+        assert float(np.min(k(xs))) == floor
+
     def test_bounds_hold_on_samples(self):
         rng = np.random.default_rng(9)
         for k in (constant_rate(1.0), capped_linear_rate(0.5, 1.0, 2.0),

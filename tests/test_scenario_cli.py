@@ -298,6 +298,25 @@ class TestCli:
                 assert f"# scenario_hash: {scenario_hash(sc)}" in text, artifact.name
                 assert "# seed: " in text, artifact.name
 
+    @pytest.mark.parametrize("rate,march,du", [
+        ("constant value=1.0", "drain", "0.005"),
+        ("capped_linear base=0.0 slope=1.0 cap=2.0", "time", "nan"),
+    ], ids=["drain", "time"])
+    def test_solve_header_carries_march_diagnostics(self, tmp_path, rate, march, du):
+        scn = tmp_path / "march.scn"
+        scn.write_text(TINY.replace("rate = constant value=1.0", f"rate = {rate}"))
+        out = tmp_path / "out"
+        assert run_cli(["solve", "--scenario", str(scn), "--out", str(out), "--quiet"]) == 0
+        for name in ("solution.tsv", "tail_surface.tsv"):
+            header = [line for line in (out / name).read_text().splitlines() if line.startswith("# ")]
+            assert f"# march: {march}" in header and f"# du: {du}" in header
+            nodes = next(int(line.split(": ")[1]) for line in header if line.startswith("# nodes: "))
+            iterations = next(int(line.split(": ")[1]) for line in header
+                              if line.startswith("# iterations: "))
+            defect = next(line for line in header if line.startswith("# defect: "))
+            assert nodes >= 100 and iterations >= nodes  # 100 time steps
+            assert float(defect.split(": ")[1]) <= 1e-6 and "e" in defect
+
     def test_seed_and_n_overrides(self, tmp_path, tiny_scenario):
         out = tmp_path / "out"
         assert run_cli(["simulate", "--scenario", str(tiny_scenario), "--out",
