@@ -1,7 +1,7 @@
 """Watch the scaled simulation approach the fluid solution as n grows.
 
-Runs the shipped underloaded scenario on a small n ladder with a couple of
-replications per n and prints the sup-norm gaps on the scaled count path
+Runs the shipped underloaded scenario on a small n ladder with three
+seeds per n and prints the sup-norm gaps on the scaled count path
 together with the Prohorov distances between the scaled residual-work
 measure and the discretized fluid tail.
 """
@@ -13,7 +13,9 @@ from fluidq.cli import report_to_text, summary_to_text
 
 scenario = load_scenario(Path(__file__).resolve().parent.parent
                          / "scenarios" / "underloaded_exp.scn")
-report = convergence_experiment(scenario, n_list=[10, 50, 200], replications=3)
+report = convergence_experiment(
+    scenario, n_list=[10, 50, 200], seeds=[scenario.seed + r for r in range(3)]
+)
 
 print("rows (one per n and seed):")
 print(report_to_text(report).rstrip())

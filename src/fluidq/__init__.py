@@ -17,10 +17,7 @@ from .harness import (
     convergence_experiment,
     discretize_fluid_measure,
     glivenko_cantelli_check,
-    measure_oscillation,
-    oscillation,
     run_scenario_once,
-    weak_oscillation,
 )
 from .laws import (
     ArrivalLaw,
@@ -36,15 +33,8 @@ from .laws import (
     make_uniform,
     table_rate,
 )
-from .measures import AtomicMeasure, TailFunction, prohorov, shift_tail, tail
+from .measures import AtomicMeasure, TailFunction, prohorov
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario, scenario_hash, serialize_scenario
-from .simulate import (
-    Simulator,
-    SimState,
-    Trajectory,
-    init,
-    sample_initial,
-    scale_trajectory,
-)
+from .simulate import Simulator, SimState, Trajectory, init, sample_initial
 
 __version__ = "0.1.0"

@@ -116,11 +116,9 @@ def surface_to_text(sol: FluidSolution, header_lines=()) -> str:
 
 
 def trajectory_to_text(traj: Trajectory, header_lines=()) -> str:
-    """Simulated paths: time, X, Q, Z, B, S columns; counts are ints unless
-    the trajectory is scaled."""
-    cast = float if traj.scaled else int
+    """Simulated paths: time, X, Q, Z, B, S columns; counts are ints."""
     counts = (traj.count, traj.queue, traj.in_service, traj.started)
-    paths = [traj.times.tolist(), *(map(cast, c.tolist()) for c in counts), traj.drained.tolist()]
+    paths = [traj.times.tolist(), *(c.tolist() for c in counts), traj.drained.tolist()]
     return _table(header_lines, ("time", "X", "Q", "Z", "B", "S"), zip(*paths))
 
 
@@ -210,9 +208,7 @@ def _cmd_solve(scenario, writer: _Writer, say):
 
 
 def _cmd_compare(scenario, writer: _Writer, n_list, seeds, say):
-    report = convergence_experiment(
-        scenario, n_list=n_list, seeds=seeds, replications=len(seeds)
-    )
+    report = convergence_experiment(scenario, n_list=n_list, seeds=seeds)
     header = _base_header(scenario, "compare", seeds[0]) + [
         f"n_list: {','.join(str(n) for n in n_list)}",
         f"seeds: {','.join(str(s) for s in seeds)}",

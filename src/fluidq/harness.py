@@ -1,6 +1,5 @@
-"""Experiment orchestration: scaled-simulation vs fluid-solution gaps,
-empirical law-of-large-numbers checks for block empirical measures, and
-path-oscillation diagnostics.
+"""Experiment orchestration: scaled-simulation vs fluid-solution gaps and
+empirical law-of-large-numbers checks for block empirical measures.
 
 All stochastic outputs are deterministic functions of the seeds handed in;
 experiments run one (n, seed) pair at a time and report rows in key order.
@@ -17,7 +16,7 @@ import numpy as np
 from . import fluid as fluid_mod
 from .laws import DensityRequiredError, ServiceLaw
 from .measures import AtomicMeasure, prohorov
-from .simulate import Simulator, init, sample_initial, scale_trajectory
+from .simulate import Simulator, init, sample_initial
 
 
 @dataclass(frozen=True)
@@ -137,21 +136,19 @@ def run_scenario_once(scenario, n: int, seed: int, grid=None, snapshot_times=())
 def convergence_experiment(
     scenario,
     n_list=None,
-    replications=None,
     seeds=None,
     solution: fluid_mod.FluidSolution | None = None,
 ) -> ConvergenceReport:
     """Run the scaled simulations and report sup-norm and Prohorov gaps
-    against the fluid solution.
+    against the fluid solution, one row per (n, seed).
 
+    ``seeds`` defaults to the scenario's seed plus 0 .. replications - 1.
     Laws without a Lipschitz density have no fluid target; the report is
     then marked simulation-only.  Deterministic for fixed seeds.
     """
     n_list = list(scenario.n_list if n_list is None else n_list)
-    replications = scenario.replications if replications is None else replications
     if seeds is None:
-        seeds = [scenario.seed + r for r in range(replications)]
-    seeds = list(seeds)[:replications]
+        seeds = [scenario.seed + r for r in range(scenario.replications)]
     snapshot_times = tuple(scenario.snapshot_times)
 
     params = None
@@ -184,17 +181,17 @@ def convergence_experiment(
 
     def job(key):
         n, seed = key
-        traj = scale_trajectory(
-            run_scenario_once(scenario, n, seed, grid, snapshot_times), n
-        )
+        traj = run_scenario_once(scenario, n, seed, grid, snapshot_times)
         if simulation_only:
             return GapRow(n, seed, math.nan, math.nan, math.nan, ())
-        count_gap = float(np.max(np.abs(traj.count - solution.count)))
-        queue_gap = float(np.max(np.abs(traj.queue - solution.queue)))
-        starts_gap = float(np.max(np.abs(traj.started - solution.started)))
+        # fluid scaling: counts and measures divided by n
+        inv = 1.0 / n
+        count_gap = float(np.max(np.abs(traj.count * inv - solution.count)))
+        queue_gap = float(np.max(np.abs(traj.queue * inv - solution.queue)))
+        starts_gap = float(np.max(np.abs(traj.started * inv - solution.started)))
         mgaps = []
         for sn in traj.snapshots:
-            d = prohorov(sn.measure, fluid_measures[sn.time])
+            d = prohorov(sn.measure.scaled(inv), fluid_measures[sn.time])
             mgaps.append((sn.time, d))
         return GapRow(n, seed, count_gap, queue_gap, starts_gap, tuple(mgaps))
 
@@ -249,86 +246,3 @@ def glivenko_cantelli_check(
             if dev > worst:
                 worst = dev
     return worst
-
-
-def oscillation(times, values, delta: float, horizon: float | None = None) -> float:
-    """Largest |value difference| over time pairs at distance <= delta."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if horizon is not None:
-        keep = times <= horizon + 1e-12
-        times, values = times[keep], values[keep]
-    n = times.size
-    if n < 2:
-        return 0.0
-    best = 0.0
-    maxq: list = []  # indices, values decreasing
-    minq: list = []
-    j = 0
-    for i in range(n):
-        while j < n and times[j] <= times[i] + delta + 1e-12:
-            v = values[j]
-            while maxq and values[maxq[-1]] <= v:
-                maxq.pop()
-            maxq.append(j)
-            while minq and values[minq[-1]] >= v:
-                minq.pop()
-            minq.append(j)
-            j += 1
-        while maxq and maxq[0] < i:
-            maxq.pop(0)
-        while minq and minq[0] < i:
-            minq.pop(0)
-        if maxq and minq:
-            best = max(best, values[maxq[0]] - values[minq[0]])
-    return float(best)
-
-
-def measure_oscillation(snapshots, delta: float, horizon: float | None = None) -> float:
-    """Oscillation of a measure-valued path in the Prohorov metric."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    snaps = [
-        sn for sn in snapshots if horizon is None or sn.time <= horizon + 1e-12
-    ]
-    best = 0.0
-    for a in range(len(snaps)):
-        for b in range(a + 1, len(snaps)):
-            if snaps[b].time - snaps[a].time > delta + 1e-12:
-                break
-            best = max(best, prohorov(snaps[a].measure, snaps[b].measure))
-    return best
-
-
-def weak_oscillation(times, values, delta: float, horizon: float | None = None) -> float:
-    """Partition-relative oscillation: the smallest, over grid partitions
-    with cell length > delta, of the largest within-cell oscillation.
-    Cells are half-open, so the right endpoint of each cell is excluded.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if horizon is not None:
-        keep = times <= horizon + 1e-12
-        times, values = times[keep], values[keep]
-    n = times.size - 1
-    if n < 1 or times[n] - times[0] <= delta:
-        raise ValueError("horizon must exceed delta for a valid partition")
-    inf = math.inf
-    dp = np.full(n + 1, inf)
-    dp[0] = 0.0
-    for i in range(1, n + 1):
-        hi = -inf
-        lo = inf
-        # extend the final cell [t_j, t_i) backwards; values[i] excluded
-        for j in range(i - 1, -1, -1):
-            hi = max(hi, values[j])
-            lo = min(lo, values[j])
-            if times[i] - times[j] > delta and dp[j] < inf:
-                cand = max(dp[j], hi - lo)
-                if cand < dp[i]:
-                    dp[i] = cand
-    return float(dp[n])

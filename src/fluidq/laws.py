@@ -241,15 +241,14 @@ ARRIVAL_KINDS = ("exponential", "deterministic", "uniform")
 @dataclass(frozen=True)
 class RateFunction:
     """Bounded Lipschitz per-server work rate as a function of the scaled
-    customer count.  ``bound`` and ``lipschitz`` are exact, not estimated,
-    and so is ``floor``, the infimum of k over x >= 0: the fluid solver
-    marches in drain time when it is positive."""
+    customer count.  ``bound``, the supremum of k, and ``floor``, its
+    infimum over x >= 0, are exact, not estimated: the fluid solver marches
+    in drain time when the floor is positive."""
 
     kind: str
     params: dict
     fn: Callable = field(repr=False)
     bound: float
-    lipschitz: float
     floor: float
 
     def __call__(self, x):
@@ -264,7 +263,6 @@ def constant_rate(value: float) -> RateFunction:
         params={"value": value},
         fn=lambda x: np.full_like(np.asarray(x, dtype=float), value),
         bound=value,
-        lipschitz=0.0,
         floor=value,
     )
 
@@ -278,7 +276,6 @@ def capped_linear_rate(base: float, slope: float, cap: float) -> RateFunction:
         params={"base": base, "slope": slope, "cap": cap},
         fn=lambda x: np.minimum(base + slope * np.asarray(x, dtype=float), cap),
         bound=cap if slope > 0 else min(base, cap),
-        lipschitz=slope,
         floor=min(base, cap),
     )
 
@@ -286,9 +283,9 @@ def capped_linear_rate(base: float, slope: float, cap: float) -> RateFunction:
 def table_rate(xs, ks) -> RateFunction:
     """Piecewise-linear rate from a table; flat beyond the last knot.
 
-    The Lipschitz constant is the steepest slope between knots, so a flat
-    table is a constant rate.  The floor is the least value at x = 0 or at
-    a knot at or beyond 0.
+    The bound is the largest knot value.  The floor is the least value at
+    x = 0 or at a knot at or beyond 0, so a flat table has floor == bound,
+    like a constant rate.
     """
     xs = np.asarray(xs, dtype=float)
     ks = np.asarray(ks, dtype=float)
@@ -303,7 +300,6 @@ def table_rate(xs, ks) -> RateFunction:
         params={"xs": tuple(xs), "ks": tuple(ks)},
         fn=lambda x: np.interp(np.asarray(x, dtype=float), xs, ks),
         bound=float(np.max(ks)),
-        lipschitz=float(np.max(np.abs(np.diff(ks)) / np.diff(xs))),
         floor=float(min(np.interp(0.0, xs, ks), np.min(ks[xs >= 0.0], initial=np.inf))),
     )
 

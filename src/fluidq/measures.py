@@ -91,25 +91,6 @@ class AtomicMeasure:
         return AtomicMeasure(self.locations, self.weights * factor)
 
 
-def tail(measure: AtomicMeasure, x: float) -> float:
-    """Mass of the closed half line [x, inf); atoms at exactly x count."""
-    idx = np.searchsorted(measure.locations, x, side="left")
-    return float(measure.weights[idx:].sum())
-
-
-def shift_tail(measure: AtomicMeasure, s: float) -> AtomicMeasure:
-    """The measure C -> measure(C + s): translate every atom left by s.
-
-    Atoms whose shifted location is <= 0 are dropped; residual-work
-    measures carry no mass at the origin.
-    """
-    if s < 0:
-        raise ValueError("shift must be >= 0")
-    new_loc = measure.locations - s
-    keep = new_loc > 0.0
-    return AtomicMeasure(new_loc[keep], measure.weights[keep])
-
-
 def _subset_excess(a: AtomicMeasure, b: AtomicMeasure, eps: float) -> float:
     """max over finite S within supp(a) of  a(S) - b(S^eps),  S^eps open.
 

@@ -169,7 +169,6 @@ def sample_initial(
 class Snapshot:
     time: float
     measure: AtomicMeasure          # residual-work measure, one atom per customer
-    by_customer: dict               # customer index -> residual work
     drained: float                  # cumulative drain at the snapshot time
 
 
@@ -179,7 +178,7 @@ class Trajectory:
 
     Columns: count (in system), queue, in_service, started (index of the
     last customer to enter service) and drained (cumulative per-server
-    work).  ``scaled`` trajectories carry count-type paths divided by n.
+    work).  Counts are unscaled integers.
     """
 
     n: int
@@ -194,7 +193,6 @@ class Trajectory:
     snapshots: list
     records: dict
     initial_count: int
-    scaled: bool = False
 
 
 class _GapStream:
@@ -384,10 +382,8 @@ class Simulator:
         t = s.clock if at_time is None else at_time
         r = self._current_rate()
         drained = s.drained + r * (t - s.clock)
-        by_customer = {idx: key - drained for key, idx in s.heap}
-        locs = np.fromiter(by_customer.values(), dtype=float, count=len(by_customer))
-        measure = AtomicMeasure(locs, np.ones_like(locs))
-        return Snapshot(time=t, measure=measure, by_customer=by_customer, drained=drained)
+        locs = np.fromiter((key - drained for key, _ in s.heap), dtype=float, count=len(s.heap))
+        return Snapshot(time=t, measure=AtomicMeasure(locs, np.ones_like(locs)), drained=drained)
 
     def run(
         self,
@@ -438,39 +434,3 @@ class Simulator:
             records=s.records,
             initial_count=s.initial_count,
         )
-
-
-def scale_trajectory(traj: Trajectory, n: int) -> Trajectory:
-    """Fluid scaling: count-type paths divided by n, measures by 1/n.
-
-    The cumulative drain is per-server work and is not rescaled.
-    """
-    if traj.n != n:
-        raise ValueError("trajectory was produced with a different n")
-    if traj.scaled:
-        raise ValueError("trajectory already scaled")
-    inv = 1.0 / n
-    snaps = [
-        Snapshot(
-            time=sn.time,
-            measure=sn.measure.scaled(inv),
-            by_customer=sn.by_customer,
-            drained=sn.drained,
-        )
-        for sn in traj.snapshots
-    ]
-    return Trajectory(
-        n=n,
-        horizon=traj.horizon,
-        times=traj.times,
-        count=traj.count * inv,
-        queue=traj.queue * inv,
-        in_service=traj.in_service * inv,
-        started=traj.started * inv,
-        drained=traj.drained,
-        events=traj.events,
-        snapshots=snaps,
-        records=traj.records,
-        initial_count=traj.initial_count,
-        scaled=True,
-    )

@@ -6,7 +6,8 @@ ODE is integrated by a plain fixed-step RK4 loop, the right-hand side
 of the count equation is summed by plain trapezoid loops over scalar calls
 of the law callables, the tail surface is a plain-loop midpoint
 Stieltjes sum over the time grid, and the reference simulator keeps every
-residual explicitly and drains each one at every event.
+residual explicitly and drains each one at every event.  ``tail`` and
+``shift_tail`` read and translate atomic measures by their definitions.
 """
 
 import itertools
@@ -15,6 +16,25 @@ import math
 import numpy as np
 
 from fluidq.measures import AtomicMeasure
+
+
+def tail(measure: AtomicMeasure, x: float) -> float:
+    """Mass of the closed half line [x, inf); atoms at exactly x count."""
+    idx = np.searchsorted(measure.locations, x, side="left")
+    return float(measure.weights[idx:].sum())
+
+
+def shift_tail(measure: AtomicMeasure, s: float) -> AtomicMeasure:
+    """The measure C -> measure(C + s): translate every atom left by s.
+
+    Atoms whose shifted location is <= 0 are dropped; residual-work
+    measures carry no mass at the origin.
+    """
+    if s < 0:
+        raise ValueError("shift must be >= 0")
+    new_loc = measure.locations - s
+    keep = new_loc > 0.0
+    return AtomicMeasure(new_loc[keep], measure.weights[keep])
 
 
 def brute_subset_excess(a: AtomicMeasure, b: AtomicMeasure, eps: float) -> float:

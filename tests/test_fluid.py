@@ -209,7 +209,7 @@ class TestSolveCount:
         drain, _ = fm.solve_count_path(p)
         stepped, diag = fm.solve_count_path(p, march="time")
         assert diag.march == "time" and len(diag.windows) == p.steps
-        bound = 1e-9 if rate.lipschitz == 0.0 else 2e-6
+        bound = 1e-9 if rate.floor == rate.bound else 2e-6
         assert np.max(np.abs(drain - stepped)) <= bound
 
     def test_flat_table_matches_constant_rate(self):

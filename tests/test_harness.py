@@ -7,14 +7,10 @@ from fluidq.harness import (
     convergence_experiment,
     discretize_fluid_measure,
     glivenko_cantelli_check,
-    measure_oscillation,
-    oscillation,
     run_scenario_once,
-    weak_oscillation,
 )
-from fluidq.laws import constant_rate, make_deterministic, make_exponential
+from fluidq.laws import make_deterministic, make_exponential
 from fluidq.measures import prohorov
-from fluidq.simulate import Simulator, init, scale_trajectory
 
 
 class TestDiscretize:
@@ -75,7 +71,8 @@ class TestConvergence:
     def test_zero_scenario_gaps_exactly_zero(self, solved):
         scenario, _, sol = solved("zero_arrivals")
         report = convergence_experiment(
-            scenario, n_list=[5, 50], replications=2, solution=sol
+            scenario, n_list=[5, 50], seeds=[scenario.seed, scenario.seed + 1],
+            solution=sol,
         )
         assert not report.simulation_only
         for row in report.rows:
@@ -88,17 +85,26 @@ class TestConvergence:
     def test_rows_keyed_uniquely_and_sorted(self, solved):
         scenario, _, sol = solved("zero_arrivals")
         report = convergence_experiment(
-            scenario, n_list=[20, 10], replications=2, solution=sol
+            scenario, n_list=[20, 10], seeds=[scenario.seed, scenario.seed + 1],
+            solution=sol,
         )
         keys = [(r.n, r.seed) for r in report.rows]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
+    def test_every_seed_gets_a_row(self, solved):
+        # five seeds on a scenario with three replications: none dropped
+        scenario, _, sol = solved("zero_arrivals")
+        assert scenario.replications == 3
+        report = convergence_experiment(
+            scenario, n_list=[10], seeds=[1, 2, 3, 4, 5], solution=sol
+        )
+        assert [(r.n, r.seed) for r in report.rows] == [(10, s) for s in (1, 2, 3, 4, 5)]
+
     def test_doubling_n_guard(self, solved):
         scenario, _, sol = solved("underloaded_exp")
         report = convergence_experiment(
-            scenario, n_list=[25, 50], replications=1, seeds=[scenario.seed],
-            solution=sol,
+            scenario, n_list=[25, 50], seeds=[scenario.seed], solution=sol,
         )
         small, big = report.rows[0], report.rows[1]
         assert big.count_gap <= 3.0 * small.count_gap
@@ -107,7 +113,7 @@ class TestConvergence:
         from fluidq.scenario import load_scenario
 
         scenario = load_scenario(scenario_dir / "deterministic_service.scn")
-        report = convergence_experiment(scenario, n_list=[5], replications=1)
+        report = convergence_experiment(scenario, n_list=[5], seeds=[scenario.seed])
         assert report.simulation_only
         assert "simulation only" in summary_to_text(report)
         assert "nan" in report_to_text(report)
@@ -118,8 +124,7 @@ class TestConvergence:
         for name in ("warm_start", "queue_start"):
             scenario, _, sol = solved(name)
             report = convergence_experiment(
-                scenario, n_list=[25, 400], replications=1,
-                seeds=[scenario.seed], solution=sol,
+                scenario, n_list=[25, 400], seeds=[scenario.seed], solution=sol,
             )
             small, big = report.rows
             assert big.count_gap < small.count_gap
@@ -157,49 +162,16 @@ class TestGlivenkoCantelli:
 
 
 class TestOscillation:
-    def test_constant_path(self):
-        t = np.linspace(0, 5, 101)
-        assert oscillation(t, np.full(101, 1.7), 0.3) == 0.0
-
-    def test_linear_path(self):
-        t = np.linspace(0, 5, 501)
-        slope = 1.8
-        w = oscillation(t, slope * t, 0.25)
-        assert abs(w - slope * 0.25) <= slope * (t[1] - t[0]) + 1e-12
-
     def test_fluid_path_lipschitz_bound(self, solved):
+        # the count grows at most at the arrival rate: over every pair of
+        # grid times at most delta = 10 steps apart, |X(t) - X(s)| <= lam*delta
         _, params, sol = solved("underloaded_exp")
         delta = 0.01
-        w = oscillation(sol.times, sol.count, delta)
+        steps = round(delta / params.dt_effective)
+        assert steps == 10
+        x = sol.count
+        w = max(float(np.max(np.abs(x[k:] - x[:-k]))) for k in range(1, steps + 1))
         assert w <= params.arrival_rate * delta + 1e-6
-
-    def test_measure_path(self):
-        state = init(2, residuals=[0.8, 1.6])
-        sim = Simulator(2, make_exponential(1.0), constant_rate(1.0), state=state)
-        traj = sim.run(1.0, snapshot_times=[0.0, 0.1, 0.2, 0.5])
-        w_small = measure_oscillation(traj.snapshots, 0.11)
-        w_large = measure_oscillation(traj.snapshots, 0.6)
-        assert 0.0 < w_small <= w_large
-
-    def test_weak_oscillation_bounded_by_double_delta(self):
-        rng = np.random.default_rng(8)
-        t = np.linspace(0, 4, 201)
-        for _ in range(10):
-            path = np.cumsum(rng.normal(0, 0.1, t.size))
-            for delta in (0.1, 0.3, 0.7):
-                assert weak_oscillation(t, path, delta) <= oscillation(t, path, 2 * delta) + 1e-12
-
-    def test_weak_oscillation_drops_single_jump(self):
-        # one jump: a partition can split exactly there, so w' ~ 0
-        t = np.linspace(0, 2, 41)
-        path = np.where(t < 1.0, 0.0, 1.0)
-        assert weak_oscillation(t, path, 0.2) == 0.0
-        assert oscillation(t, path, 0.2) == 1.0
-
-    def test_weak_oscillation_needs_room(self):
-        t = np.linspace(0, 1, 11)
-        with pytest.raises(ValueError):
-            weak_oscillation(t, t, 1.5)
 
 
 class TestRunScenarioOnce:
@@ -213,6 +185,5 @@ class TestRunScenarioOnce:
     def test_initial_condition_sampled(self, solved):
         scenario, _, _ = solved("queue_start")
         traj = run_scenario_once(scenario, 40, 9, grid=np.array([0.0, scenario.horizon]))
-        scaled = scale_trajectory(traj, 40)
-        assert scaled.count[0] == pytest.approx(1.5, abs=0.05)
-        assert scaled.queue[0] == pytest.approx(0.5, abs=0.05)
+        assert traj.count[0] / 40 == pytest.approx(1.5, abs=0.05)
+        assert traj.queue[0] / 40 == pytest.approx(0.5, abs=0.05)

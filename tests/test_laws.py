@@ -157,21 +157,20 @@ class TestRateFunctions:
         k = constant_rate(1.5)
         assert float(k(0.0)) == 1.5
         assert float(k(100.0)) == 1.5
-        assert k.bound == 1.5 and k.lipschitz == 0.0
+        assert k.bound == 1.5
 
     def test_capped_linear(self):
         k = capped_linear_rate(0.5, 1.0, 2.0)
         assert float(k(0.0)) == 0.5
         assert float(k(1.0)) == 1.5
         assert float(k(10.0)) == 2.0
-        assert k.bound == 2.0 and k.lipschitz == 1.0
+        assert k.bound == 2.0
 
     def test_table_interpolates_and_extends(self):
         k = table_rate([0.0, 1.0, 3.0], [1.0, 2.0, 2.0])
         assert float(k(0.5)) == 1.5
         assert float(k(7.0)) == 2.0
         assert k.bound == 2.0
-        assert k.lipschitz == 1.0  # the steepest slope between knots
 
     @pytest.mark.parametrize("k,floor", [
         (constant_rate(1.5), 1.5),
@@ -190,10 +189,11 @@ class TestRateFunctions:
 
     def test_bounds_hold_on_samples(self):
         rng = np.random.default_rng(9)
-        for k in (constant_rate(1.0), capped_linear_rate(0.5, 1.0, 2.0),
-                  table_rate([0, 1, 2], [1, 0.5, 1.5])):
+        # each rate with its Lipschitz constant: the steepest slope
+        for k, lip in ((constant_rate(1.0), 0.0), (capped_linear_rate(0.5, 1.0, 2.0), 1.0),
+                       (table_rate([0, 1, 2], [1, 0.5, 1.5]), 1.0)):
             xs = rng.uniform(0, 10, 2000)
             ys = np.clip(xs + rng.uniform(-0.1, 0.1, xs.size), 0, None)
             vx, vy = k(xs), k(ys)
             assert np.all(vx >= 0) and np.all(vx <= k.bound + 1e-12)
-            assert np.all(np.abs(vx - vy) <= k.lipschitz * np.abs(xs - ys) + 1e-12)
+            assert np.all(np.abs(vx - vy) <= lip * np.abs(xs - ys) + 1e-12)

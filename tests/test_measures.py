@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 
 from fluidq.cli import atomic_to_text
-from fluidq.measures import (
-    AtomicMeasure,
-    TailFunction,
-    prohorov,
-    shift_tail,
-    tail,
-)
+from fluidq.measures import AtomicMeasure, TailFunction, prohorov
 
-from oracles import brute_prohorov
+from oracles import brute_prohorov, shift_tail, tail
 
 
 def m(*pairs) -> AtomicMeasure:

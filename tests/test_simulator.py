@@ -13,7 +13,7 @@ from fluidq.laws import (
     make_exponential,
     table_rate,
 )
-from fluidq.measures import AtomicMeasure, TailFunction, shift_tail
+from fluidq.measures import AtomicMeasure, TailFunction
 from fluidq.simulate import (
     ARRIVAL,
     DEPARTURE,
@@ -21,11 +21,10 @@ from fluidq.simulate import (
     Simulator,
     init,
     sample_initial,
-    scale_trajectory,
 )
 from fluidq.cli import trajectory_to_text
 
-from oracles import reference_simulation
+from oracles import reference_simulation, shift_tail
 
 
 def events_of(traj, kind):
@@ -264,8 +263,20 @@ class TestInvariants:
 
     def test_shift_consistency_between_snapshots(self, busy_run):
         # customers in service at s, still in service at t, carry residuals
-        # shifted by exactly the drain accumulated on (s, t]
+        # shifted by exactly the drain accumulated on (s, t]; each residual
+        # is read off the customer's record, and the snapshot's atoms are
+        # exactly those residuals
+        def residuals(sn):
+            return {
+                idx: rec.start_drained + rec.requirement - sn.drained
+                for idx, rec in busy_run.records.items()
+                if rec.start_time is not None and rec.start_time <= sn.time
+                and (rec.departure_time is None or rec.departure_time > sn.time)
+            }
+
         snaps = busy_run.snapshots
+        for sn in snaps:
+            assert np.array_equal(sn.measure.locations, sorted(residuals(sn).values()))
         pairs = [(snaps[i], snaps[j]) for i in range(0, len(snaps), 3)
                  for j in range(i + 1, min(i + 4, len(snaps)))]
         checked_atoms = 0
@@ -273,12 +284,13 @@ class TestInvariants:
             delta = late.drained - early.drained
             survivors = {
                 idx: r - delta
-                for idx, r in early.by_customer.items()
+                for idx, r in residuals(early).items()
                 if r - delta > 1e-12
             }
+            in_late = residuals(late)
             for idx, predicted in survivors.items():
-                assert idx in late.by_customer
-                assert abs(late.by_customer[idx] - predicted) <= 1e-9
+                assert idx in in_late
+                assert abs(in_late[idx] - predicted) <= 1e-9
                 checked_atoms += 1
             shifted = shift_tail(early.measure, delta)
             actual = AtomicMeasure(
@@ -343,36 +355,16 @@ class TestInvariants:
 
 
 class TestScaling:
-    def test_empty_trajectory_scales_to_zero(self):
-        traj = Simulator(4, make_exponential(1.0), constant_rate(1.0)).run(
-            2.0, grid=np.linspace(0, 2, 5)
-        )
-        scaled = scale_trajectory(traj, 4)
-        assert np.all(scaled.count == 0.0)
-
-    def test_count_scaling(self):
-        state = init(10, residuals=[1.0] * 5)
-        traj = Simulator(10, make_exponential(1.0), constant_rate(0.0),
-                         state=state).run(1.0, grid=[0.0, 1.0])
-        scaled = scale_trajectory(traj, 10)
-        assert scaled.count[0] == 0.5
-
     def test_scaled_measure_mass_is_capped_count(self):
+        # one unit atom per customer in service: the snapshot mass is
+        # min(X, n), which scales to min(X/n, 1)
         state = init(5, residuals=[2.0] * 5, queue_requirements=[1.0] * 3)
         traj = Simulator(5, make_exponential(1.0), constant_rate(1.0),
                          state=state).run(1.0, grid=[0.0, 1.0],
                                           snapshot_times=[0.5])
-        scaled = scale_trajectory(traj, 5)
-        i = np.searchsorted(scaled.times, 0.5, side="right") - 1
-        sn = scaled.snapshots[0]
-        assert sn.measure.total_mass == pytest.approx(
-            min(float(scaled.count[i]), 1.0), abs=1e-12
-        )
-
-    def test_wrong_n_rejected(self):
-        traj = Simulator(2, make_exponential(1.0), constant_rate(1.0)).run(1.0)
-        with pytest.raises(ValueError):
-            scale_trajectory(traj, 3)
+        i = np.searchsorted(traj.times, 0.5, side="right") - 1
+        sn = traj.snapshots[0]
+        assert sn.measure.total_mass == min(int(traj.count[i]), 5)
 
 
 class TestSampledInitial:
