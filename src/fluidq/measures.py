@@ -12,11 +12,16 @@ Two representations are used throughout the package:
 The Prohorov distance between two atomic measures is computed exactly (to a
 bisection tolerance) by restricting the closed-set quantifier to finite
 subsets of the supports, which attains the supremum for purely atomic
-measures.
+measures.  At each bisection midpoint a dynamic program over the sorted
+atoms tests one side at a time, the side with fewer atoms first, and
+stops at the first set whose excess passes the radius.  A test's outcome,
+and so the bisection's path and result, are those of the full dynamic
+program on both sides.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -91,33 +96,37 @@ class AtomicMeasure:
         return AtomicMeasure(self.locations, self.weights * factor)
 
 
-def _subset_excess(a: AtomicMeasure, b: AtomicMeasure, eps: float) -> float:
-    """max over finite S within supp(a) of  a(S) - b(S^eps),  S^eps open.
+def _excess_at_most(a: AtomicMeasure, b: AtomicMeasure, eps: float) -> bool:
+    """Whether a(S) - b(S^eps) <= eps for every finite S within supp(a),
+    with S^eps the open eps-enlargement.
 
     Adding points outside supp(a) to a closed test set only inflates the
     enlargement, so this maximum equals the one over all closed sets.  A
     left-to-right pass over the atoms of ``a`` suffices: the mass newly
     covered when a run of chosen atoms is extended depends only on the
-    rightmost atom chosen so far.
+    rightmost atom chosen so far.  ``best[j]`` is the largest excess of a
+    set whose rightmost atom is ``j``, so the pass stops with ``False`` at
+    the first ``best[j] > eps``.  The loop runs over Python floats.
     """
     n = len(a)
     if n == 0:
-        return 0.0
+        return True
     loc = a.locations
-    wgt = a.weights
     b_loc = b.locations
     b_cum = np.concatenate(([0.0], np.cumsum(b.weights)))
 
     # b-mass of the open interval (loc-eps, loc+eps), clipped to [0, inf)
     upper = b_cum[np.searchsorted(b_loc, loc + eps, side="left")]
     lower = b_cum[np.searchsorted(b_loc, loc - eps, side="right")]
-    fresh_cost = upper - lower
+    fresh_cost = (upper - lower).tolist()
+    upper = upper.tolist()
+    loc = loc.tolist()
+    wgt = a.weights.tolist()
 
-    best = np.empty(n)
+    best = [0.0] * n
     far_max = 0.0          # best over atoms left of the 2*eps overlap window
     far_ptr = 0
     window = deque()       # (index, best[i] + mass_lt(loc[i] + eps)), max at left
-    result = 0.0
     for j in range(n):
         left_edge = loc[j] - 2.0 * eps
         while far_ptr < j and loc[far_ptr] <= left_edge:
@@ -133,28 +142,35 @@ def _subset_excess(a: AtomicMeasure, b: AtomicMeasure, eps: float) -> float:
             if cand2 > cand:
                 cand = cand2
         best[j] = wgt[j] + cand
+        if best[j] > eps:
+            return False
         g = best[j] + upper[j]  # mass_lt(loc[j] + eps) == upper[j]
         while window and window[-1][1] <= g:
             window.pop()
         window.append((j, g))
-        if best[j] > result:
-            result = best[j]
-    return float(result)
+    return True
 
 
 def _prohorov_ok(m1: AtomicMeasure, m2: AtomicMeasure, eps: float) -> bool:
-    return (
-        _subset_excess(m1, m2, eps) <= eps
-        and _subset_excess(m2, m1, eps) <= eps
-    )
+    # the side with fewer atoms first: it is cheaper and often decides
+    if len(m2) < len(m1):
+        m1, m2 = m2, m1
+    return _excess_at_most(m1, m2, eps) and _excess_at_most(m2, m1, eps)
 
 
 def prohorov(m1: AtomicMeasure, m2: AtomicMeasure, tol: float = PROHOROV_TOL) -> float:
     """Prohorov distance between two finite atomic measures.
 
     Bisects on eps in the two-sided enlargement test; the returned value is
-    an upper bound on the exact distance, within ``tol`` of it.
+    an upper bound on the exact distance, within ``tol`` of it, or as close
+    as float spacing allows when ``tol`` is finer than that; ``tol`` must
+    be positive and finite.  Each test stops at the first set whose excess
+    passes eps, and runs the side with fewer atoms first; neither changes
+    a test's outcome, so the bisection takes the same midpoints, and
+    returns the same float, as the full dynamic program on both sides.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be a positive finite number")
     if m1 == m2:
         return 0.0
     # eps = larger total mass always satisfies the test; pad past rounding
@@ -162,6 +178,8 @@ def prohorov(m1: AtomicMeasure, m2: AtomicMeasure, tol: float = PROHOROV_TOL) ->
     lo = 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if _prohorov_ok(m1, m2, mid):
             hi = mid
         else:

@@ -8,10 +8,15 @@ of the law callables, the tail surface is a plain-loop midpoint
 Stieltjes sum over the time grid, and the reference simulator keeps every
 residual explicitly and drains each one at every event.  ``tail`` and
 ``shift_tail`` read and translate atomic measures by their definitions.
+``subset_excess_reference`` is the full subset-excess dynamic program over
+numpy scalars, without an early exit, and ``prohorov_reference`` bisects
+with it; the package's short-circuiting test must reach the same bool at
+every eps, and so the same distance.
 """
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 
@@ -65,6 +70,74 @@ def brute_prohorov(m1: AtomicMeasure, m2: AtomicMeasure, tol: float = 1e-9) -> f
             and brute_subset_excess(m2, m1, mid) <= mid
         )
         if ok:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def subset_excess_reference(a: AtomicMeasure, b: AtomicMeasure, eps: float) -> float:
+    """max over finite S within supp(a) of  a(S) - b(S^eps),  S^eps open.
+
+    Adding points outside supp(a) to a closed test set only inflates the
+    enlargement, so this maximum equals the one over all closed sets.  A
+    left-to-right pass over the atoms of ``a`` suffices: the mass newly
+    covered when a run of chosen atoms is extended depends only on the
+    rightmost atom chosen so far.
+    """
+    n = len(a)
+    if n == 0:
+        return 0.0
+    loc = a.locations
+    wgt = a.weights
+    b_loc = b.locations
+    b_cum = np.concatenate(([0.0], np.cumsum(b.weights)))
+
+    # b-mass of the open interval (loc-eps, loc+eps), clipped to [0, inf)
+    upper = b_cum[np.searchsorted(b_loc, loc + eps, side="left")]
+    lower = b_cum[np.searchsorted(b_loc, loc - eps, side="right")]
+    fresh_cost = upper - lower
+
+    best = np.empty(n)
+    far_max = 0.0          # best over atoms left of the 2*eps overlap window
+    far_ptr = 0
+    window = deque()       # (index, best[i] + mass_lt(loc[i] + eps)), max at left
+    result = 0.0
+    for j in range(n):
+        left_edge = loc[j] - 2.0 * eps
+        while far_ptr < j and loc[far_ptr] <= left_edge:
+            i = far_ptr
+            if best[i] > far_max:
+                far_max = best[i]
+            while window and window[0][0] == i:
+                window.popleft()
+            far_ptr += 1
+        cand = far_max - fresh_cost[j]
+        if window:
+            cand2 = window[0][1] - upper[j]
+            if cand2 > cand:
+                cand = cand2
+        best[j] = wgt[j] + cand
+        g = best[j] + upper[j]  # mass_lt(loc[j] + eps) == upper[j]
+        while window and window[-1][1] <= g:
+            window.pop()
+        window.append((j, g))
+        if best[j] > result:
+            result = best[j]
+    return float(result)
+
+
+def prohorov_reference(m1: AtomicMeasure, m2: AtomicMeasure, tol: float = 1e-9) -> float:
+    """Bisection on the two-sided enlargement test with the full dynamic
+    program on both sides at every midpoint."""
+    if m1 == m2:
+        return 0.0
+    hi = max(m1.total_mass, m2.total_mass) + tol
+    lo = 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if (subset_excess_reference(m1, m2, mid) <= mid
+                and subset_excess_reference(m2, m1, mid) <= mid):
             hi = mid
         else:
             lo = mid

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fluidq.cli import atomic_to_text
-from fluidq.measures import AtomicMeasure, TailFunction, prohorov
+from fluidq.measures import AtomicMeasure, TailFunction, _excess_at_most, prohorov
 
-from oracles import brute_prohorov, shift_tail, tail
+from oracles import (brute_prohorov, prohorov_reference, shift_tail,
+                     subset_excess_reference, tail)
 
 
 def m(*pairs) -> AtomicMeasure:
@@ -184,6 +186,61 @@ class TestProhorov:
         b = m((1.0, 1.0), (2.0, 0.5000001))
         assert prohorov(a, b) > 0.0
         assert prohorov(a, m((2.0, 0.5), (1.0, 1.0))) == 0.0
+
+
+@st.composite
+def measure_pairs(draw):
+    """Two atomic measures on a shared lattice, and an eps that is the
+    lattice step or half of it (atoms 2*eps apart, a lattice point midway),
+    a gap between two atoms, an atom weight (an excess of exactly eps) or
+    any float up to the larger mass."""
+    step = draw(st.sampled_from([0.1, 0.125, 0.25, 0.3]))
+    weight = st.one_of(st.sampled_from([0.25, 0.5, 1.0]),
+                       st.floats(0.01, 2.0, allow_nan=False))
+
+    def measure():
+        k = draw(st.integers(0, 7))
+        sites = draw(st.lists(st.integers(0, 8), min_size=k, max_size=k))
+        weights = draw(st.lists(weight, min_size=k, max_size=k))
+        return AtomicMeasure([step * i for i in sites], weights)
+
+    a, b = measure(), measure()
+    locs = np.concatenate([a.locations, b.locations]).tolist()
+    gaps = sorted({abs(x - y) for x in locs for y in locs} - {0.0})
+    masses = np.concatenate([a.weights, b.weights]).tolist()
+    eps = draw(st.one_of(
+        st.sampled_from([0.5 * step, step]),
+        st.sampled_from(gaps or [step]),
+        st.sampled_from(masses or [0.5]),
+        st.floats(1e-6, max(a.total_mass, b.total_mass, 1e-6) + 0.1),
+    ))
+    return a, b, eps
+
+
+class TestShortCircuit:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(measure_pairs())
+    @example((m((0.0, 0.5)), AtomicMeasure(), 0.5))
+    @example((m((0.0, 1.0), (0.5, 1.0)), m((0.25, 1.0)), 0.25))
+    @example((m((0.2, 1.0), (0.4, 0.5)), m((0.2, 0.5), (0.4, 1.0)), 0.2))
+    # a b-atom midway between two a-atoms 2*eps apart lies in neither
+    # open enlargement
+    @example((m((0.0, 0.2), (0.5, 0.2)), m((0.25, 1.0)), 0.25))
+    def test_matches_full_dynamic_program(self, case):
+        a, b, eps = case
+        assert _excess_at_most(a, b, eps) == (subset_excess_reference(a, b, eps) <= eps)
+        assert _excess_at_most(b, a, eps) == (subset_excess_reference(b, a, eps) <= eps)
+        assert prohorov(a, b) == prohorov_reference(a, b)
+
+    def test_fine_tolerance_ends(self):
+        d = prohorov(m((0.0, 1.0)), m((0.3, 1.0)), tol=1e-20)
+        assert d == pytest.approx(0.3, abs=1e-15)
+        assert d >= 0.3
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError):
+            prohorov(m((0.0, 1.0)), m((0.3, 1.0)), tol=tol)
 
 
 class TestTailFunction:

@@ -102,6 +102,15 @@ def line_counts(root: Path) -> dict:
     return counts
 
 
+def machine() -> dict:
+    return {
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+        "numpy": np.__version__,
+    }
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="root of the checkout to compare against")
@@ -134,12 +143,7 @@ def main() -> int:
         "timing": "median seconds over the repeats, each in a fresh interpreter",
         "layers": by_dt,
         "src_lines": {"base": line_counts(base), "change": line_counts(here)},
-        "machine": {
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "cpus": os.cpu_count(),
-            "numpy": np.__version__,
-        },
+        "machine": machine(),
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     for key, row in by_dt.items():
