@@ -7,15 +7,11 @@ from .fluid import (
     FluidParams,
     FluidSolution,
     FluidSolverError,
-    fixed_point_defect,
     solve,
-    solve_count_path,
-    tail_on_grid,
 )
 from .harness import (
     ConvergenceReport,
     convergence_experiment,
-    discretize_fluid_measure,
     glivenko_cantelli_check,
     run_scenario_once,
 )

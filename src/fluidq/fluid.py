@@ -35,7 +35,9 @@ The tail surface z(t, x) of the limiting residual-work measure is a
 midpoint Stieltjes sum of Gc against the cumulative service-start path
 B(t) = lam*t - Q(t), which is robust to the kinks B picks up when the
 queue empties or fills.  With a positive floor it is taken on a drain
-lattice, so one table of Gc serves each row.
+lattice, so one table of Gc serves each row.  ``tail_on_grid`` gives the
+row at one index of ``time_grid``, the one time grid, for ``solve``'s
+stored rows and the harness's snapshot measures alike.
 """
 
 from __future__ import annotations
@@ -54,6 +56,12 @@ DEFECT_TOL_FACTOR = 1e-6   # accepted defect: factor * (1 + sup|X|)
 PICARD_TOL_FACTOR = 1e-9   # a node's iteration stops at this * (1 + |X|)
 MAX_PICARD_ITERATIONS = 80
 MAX_NODES_PER_STEP = 16    # drain march only while k_sup/k_min is at most this
+
+
+def time_grid(horizon: float, dt: float) -> np.ndarray:
+    """``round(T/dt)`` equal steps on [0, T], at least one; [0] if T = 0."""
+    steps = max(1, int(round(horizon / dt))) if horizon > 0.0 else 0
+    return np.linspace(0.0, horizon, steps + 1)
 
 
 class FluidSolverError(RuntimeError):
@@ -108,7 +116,7 @@ class FluidParams:
 
     @property
     def steps(self) -> int:
-        return max(1, int(round(self.horizon / self.dt)))
+        return self.times.size - 1
 
     @property
     def dt_effective(self) -> float:
@@ -116,7 +124,7 @@ class FluidParams:
 
     @property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.steps + 1)
+        return time_grid(self.horizon, self.dt)
 
     @property
     def initial_count(self) -> float:
@@ -251,8 +259,8 @@ def solve_count_path(params: FluidParams, start: str = "constant", march: str | 
     ``start`` selects the first iterate: "constant" continues the last
     solved value, "h1" seeds with the no-feedback response h1 at the
     node's drain (extrapolated by one step in the time march).  Both must
-    land on the same fixed point; the solver's uniqueness probe exploits
-    that.
+    land on the same fixed point, which the uniqueness tests check by
+    comparing them.
 
     Returns (count path, SolveDiagnostics).
     """
@@ -471,17 +479,12 @@ def _grid_index(times: np.ndarray, t: float) -> int:
     return i
 
 
-def solve(
-    params: FluidParams,
-    x_grid=None,
-    surface_times=None,
-    start: str = "constant",
-) -> FluidSolution:
+def solve(params: FluidParams, x_grid=None) -> FluidSolution:
     """Full solve: count path, queue/starts/drain paths, tail surface.
 
     The count path must pass the time-grid defect; a drain-march path that
-    does not is replaced by the time march's.  ``surface_times`` defaults
-    to roughly 100 evenly spaced grid times.
+    does not is replaced by the time march's.  The surface is stored at
+    every (steps // 100)-th grid time and at the horizon.
     The computed surface is validated: nonnegative within 1e-9,
     nonincreasing in x within 1e-9, and z(t, 0) within quadrature slack of
     min(count, 1).
@@ -489,12 +492,12 @@ def solve(
     if x_grid is None:
         x_grid = np.arange(0.0, 10.0 + 1e-12, 0.05)
     x_grid = np.asarray(x_grid, dtype=float)
-    count, diag = solve_count_path(params, start=start)
+    count, diag = solve_count_path(params)
     diag.defect = fixed_point_defect(params, count)
     if diag.march == "drain" and not diag.defect <= defect_tolerance(count):
         # the drain path solves another quadrature of the same equation and
         # can sit O(dt^2) off the time grid's; solve the judged one instead
-        count, diag = solve_count_path(params, start=start, march="time")
+        count, diag = solve_count_path(params, march="time")
         diag.defect = fixed_point_defect(params, count)
     if not diag.defect <= defect_tolerance(count):
         raise FluidSolverError(
@@ -505,13 +508,10 @@ def solve(
     drained = cumulative_drain(count, params.rate, dt)
     queue, started = queue_and_starts(count, params.arrival_rate, times)
 
-    if surface_times is None:
-        stride = max(1, params.steps // 100)
-        idx = np.arange(0, params.steps + 1, stride)
-        if idx[-1] != params.steps:
-            idx = np.append(idx, params.steps)
-    else:
-        idx = np.array([_grid_index(times, t) for t in surface_times], dtype=int)
+    stride = max(1, params.steps // 100)
+    idx = np.arange(0, params.steps + 1, stride)
+    if idx[-1] != params.steps:
+        idx = np.append(idx, params.steps)
     surface = np.empty((idx.size, x_grid.size))
     for row, i in enumerate(idx):
         surface[row] = tail_on_grid(params, count, drained, started, int(i), x_grid)

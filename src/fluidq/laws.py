@@ -204,10 +204,6 @@ class ArrivalLaw:
     rate: float
     _gap_sampler: Optional[Callable] = field(repr=False, default=None)
 
-    @property
-    def mean_gap(self) -> float:
-        return math.inf if self.rate == 0.0 else 1.0 / self.rate
-
     def sample_gaps(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.rate == 0.0:
             raise ValueError("arrival rate is zero; no gaps to sample")

@@ -36,10 +36,10 @@ def _as_sorted_atoms(locations, weights):
     wgt = np.asarray(weights, dtype=float).ravel()
     if loc.shape != wgt.shape:
         raise ValueError("locations and weights must have equal length")
-    if loc.size and loc.min() < 0.0:
-        raise ValueError("atom locations must be >= 0")
-    if wgt.size and wgt.min() < 0.0:
-        raise ValueError("atom weights must be >= 0")
+    if not np.all(np.isfinite(loc) & (loc >= 0.0)):
+        raise ValueError("atom locations must be finite and >= 0")
+    if not np.all(np.isfinite(wgt) & (wgt >= 0.0)):
+        raise ValueError("atom weights must be finite and >= 0")
     keep = wgt > 0.0
     loc, wgt = loc[keep], wgt[keep]
     order = np.argsort(loc, kind="stable")

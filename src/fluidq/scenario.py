@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fluid import FluidParams, check_initial_consistency
+from .fluid import FluidParams, check_initial_consistency, time_grid
 from .laws import ARRIVAL_KINDS, RATE_KINDS, SERVICE_KINDS, make_arrivals
 from .measures import TailFunction
 
@@ -149,12 +149,7 @@ class Scenario:
         return np.arange(0.0, self.x_max + 0.5 * self.x_step, self.x_step)
 
     def time_grid(self) -> np.ndarray:
-        """``round(T/dt)`` equal steps on [0, T], the fluid solver's grid;
-        the single time 0 when T = 0."""
-        if self.horizon == 0.0:
-            return np.array([0.0])
-        steps = max(1, int(round(self.horizon / self.dt)))
-        return np.linspace(0.0, self.horizon, steps + 1)
+        return time_grid(self.horizon, self.dt)
 
     def fluid_params(self) -> FluidParams:
         return FluidParams(

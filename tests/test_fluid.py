@@ -327,9 +327,10 @@ class TestTailSurface:
             assert np.max(np.abs(z - np.array(oracle))) <= bound
 
     def test_off_grid_time_rejected(self, underloaded):
-        p, x, _ = underloaded
+        p, _, _ = underloaded
+        assert fm._grid_index(p.times, 2.5) == 2500
         with pytest.raises(ValueError, match="grid"):
-            fm.solve(p, surface_times=[0.00123456])
+            fm._grid_index(p.times, 0.00123456)
 
 
 class TestWarmStartClosedForms:

@@ -13,32 +13,34 @@ from fluidq.laws import make_deterministic, make_exponential
 from fluidq.measures import prohorov
 
 
+def _fluid_measure(params, sol, t, x_grid):
+    """The fluid measure at time t, by the route convergence_experiment takes."""
+    i = fm._grid_index(sol.times, t)
+    z = fm.tail_on_grid(params, sol.count, sol.drained, sol.started, i, x_grid)
+    return discretize_fluid_measure(z, x_grid)
+
+
 class TestDiscretize:
     def test_zero_tail_empty_measure(self, solved):
-        _, params, sol = solved("zero_arrivals")
-        m = discretize_fluid_measure(sol, 1.0, params=params)
+        scenario, params, sol = solved("zero_arrivals")
+        m = _fluid_measure(params, sol, 1.0, scenario.x_grid())
         assert len(m) == 0
 
     def test_two_cell_differencing(self):
-        sol = fm.FluidSolution(
-            times=np.array([0.0]),
-            count=np.array([1.0]),
-            queue=np.array([0.0]),
-            started=np.array([0.0]),
-            drained=np.array([0.0]),
-            x_grid=np.array([0.0, 1.0, 2.0]),
-            surface_times=np.array([0.0]),
-            tail_surface=np.array([[1.0, 0.4, 0.0]]),
-            diagnostics=None,
-        )
-        m = discretize_fluid_measure(sol, 0.0)
+        m = discretize_fluid_measure(np.array([1.0, 0.4, 0.0]), np.array([0.0, 1.0, 2.0]))
         assert list(m.locations) == [0.5, 1.5]
         assert list(m.weights) == [0.6, 0.4]
         assert m.total_mass == 1.0
 
+    def test_mass_past_last_grid_point_is_an_atom_there(self):
+        m = discretize_fluid_measure([1.0, 0.4, 0.1], [0.0, 1.0, 2.0])
+        assert list(m.locations) == [0.5, 1.5, 2.0]
+        assert m.weights.tolist() == pytest.approx([0.6, 0.3, 0.1], abs=1e-15)
+        assert m.total_mass == pytest.approx(1.0, abs=1e-15)
+
     def test_total_mass_matches_leftmost_tail(self, solved):
-        _, params, sol = solved("underloaded_exp")
-        m = discretize_fluid_measure(sol, 2.5, params=params)
+        scenario, params, sol = solved("underloaded_exp")
+        m = _fluid_measure(params, sol, 2.5, scenario.x_grid())
         i = fm._grid_index(sol.times, 2.5)
         z0 = float(fm.tail_on_grid(params, sol.count, sol.drained, sol.started, i,
                                    np.array([0.0]))[0])
@@ -46,25 +48,14 @@ class TestDiscretize:
 
     def test_initial_tail_discretization_close_to_fine_reference(self, solved):
         scenario, params, sol = solved("warm_start")
-        coarse = discretize_fluid_measure(sol, 0.0, scenario.x_grid(), params=params)
+        coarse = _fluid_measure(params, sol, 0.0, scenario.x_grid())
         fine_grid = np.arange(0.0, scenario.x_max + 0.0025, 0.005)
-        fine = discretize_fluid_measure(sol, 0.0, fine_grid, params=params)
+        fine = _fluid_measure(params, sol, 0.0, fine_grid)
         assert prohorov(coarse, fine) <= scenario.x_step + 1e-6
 
     def test_negative_cell_mass_rejected(self):
-        sol = fm.FluidSolution(
-            times=np.array([0.0]),
-            count=np.array([1.0]),
-            queue=np.array([0.0]),
-            started=np.array([0.0]),
-            drained=np.array([0.0]),
-            x_grid=np.array([0.0, 1.0]),
-            surface_times=np.array([0.0]),
-            tail_surface=np.array([[0.4, 0.5]]),
-            diagnostics=None,
-        )
         with pytest.raises(fm.FluidAccuracyError, match="cell mass"):
-            discretize_fluid_measure(sol, 0.0)
+            discretize_fluid_measure(np.array([0.4, 0.5]), np.array([0.0, 1.0]))
 
 
 class TestConvergence:

@@ -70,6 +70,14 @@ class TestAtomicMeasure:
         with pytest.raises(ValueError):
             AtomicMeasure([0.1], [-1.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("where", ["location", "weight"])
+    def test_non_finite_rejected(self, bad, where):
+        values = [bad, 1.0]
+        loc, wgt = (values, [1.0, 1.0]) if where == "location" else ([1.0, 2.0], values)
+        with pytest.raises(ValueError, match="finite"):
+            AtomicMeasure(loc, wgt)
+
     def test_one_sided_mass_queries(self):
         a = m((1.0, 1.0), (2.0, 3.0))
         assert mass_below(a, 1.0) == 0.0

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -200,6 +201,15 @@ class TestParse:
     def test_snapshot_on_coarse_time_grid_accepted(self):
         sc = parse_scenario(MINIMAL + "dt = 0.5\nsnapshot_times = 0.5,2.5\n")
         assert sc.time_grid().tolist() == [0.5 * i for i in range(11)]
+
+    def test_one_time_grid_rule(self, scenario_dir):
+        # the simulation grid of simulate and compare is the fluid solver's
+        for path in sorted(scenario_dir.glob("*.scn")):
+            sc = load_scenario(path)
+            assert np.array_equal(sc.time_grid(), sc.fluid_params().times), path.stem
+        assert parse_scenario(TINY.replace("horizon = 0.5", "horizon = 0.0")
+                              .replace("snapshot_times = 0.25,0.5", "snapshot_times = 0.0")
+                              ).time_grid().tolist() == [0.0]
 
     def test_round_trip(self):
         for text in (MINIMAL, TINY):
