@@ -250,6 +250,9 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.command in ("solve", "compare") and not scenario.horizon > 0.0:
+        print(f"error: {args.command} needs horizon > 0, got {scenario.horizon!r}", file=sys.stderr)
+        return EXIT_CONFIG
 
     if args.n is not None:
         try:

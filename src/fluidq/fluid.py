@@ -35,8 +35,8 @@ The tail surface z(t, x) of the limiting residual-work measure is a
 midpoint Stieltjes sum of Gc against the cumulative service-start path
 B(t) = lam*t - Q(t), which is robust to the kinks B picks up when the
 queue empties or fills.  With a positive floor it is taken on a drain
-lattice, so one table of Gc serves each row.  ``tail_on_grid`` gives the
-row at one index of ``time_grid``, the one time grid, for ``solve``'s
+lattice, so one table of Gc serves every row.  ``tail_on_grid`` gives the
+rows at indices of ``time_grid``, the one time grid, for ``solve``'s
 stored rows and the harness's snapshot measures alike.
 """
 
@@ -434,42 +434,48 @@ def tail_on_grid(
     count: np.ndarray,
     drained: np.ndarray,
     started: np.ndarray,
-    t_index: int,
+    t_index,
     x_grid: np.ndarray,
 ) -> np.ndarray:
     """Residual-mass tail z(t, x) over ``x_grid`` at grid time index
-    ``t_index``: the initial tail carried over plus the Stieltjes integral
-    of the service-law tail against the service starts B,
+    ``t_index``, or one row per index when it is a sequence: the initial
+    tail carried over plus the Stieltjes integral of the service-law tail
+    against the service starts B,
 
         z(t, x) = F(x + K(t)) + int_0^K(t) Gc(x + K(t) - v) dB(t(v)),
 
     as a midpoint sum.  On a drain lattice (see _drain_lattice) the nodes
     are K(t) - l*du, B there is interpolated linearly in K, and every
-    midpoint argument is (p + 1/2)*du, so one table of Gc serves the whole
-    row through a strided (Hankel) view and the sum is one matrix-vector
-    product.  Otherwise, as when k reaches 0 and K stalls while B grows,
-    the intervals are those of the time grid."""
+    midpoint argument is (p + 1/2)*du, so one table of Gc, built for the
+    latest row, serves every row through a strided (Hankel) view of its
+    prefix and each row's sum is one matrix-vector product.  Otherwise, as
+    when k reaches 0 and K stalls while B grows, the intervals are those
+    of the time grid."""
     x_grid = np.asarray(x_grid, dtype=float)
     svc_tail = params.service.tail
-    i = t_index
-    z = np.asarray(params.initial_tail(x_grid + drained[i]), dtype=float)
-    if i == 0:
-        return z
+    rows = np.asarray(t_index, dtype=int)
+    z = np.asarray(params.initial_tail(x_grid + drained[rows.ravel(), None]), dtype=float)
     lattice = _drain_lattice(params, x_grid)
-    if lattice is None:
-        db = np.diff(started[: i + 1])
-        mid = 0.5 * (drained[:i] + drained[1 : i + 1])
-        args = x_grid[None, :] + (drained[i] - mid)[:, None]
-        return z + svc_tail(args).T @ db
-    du, r = lattice
-    steps = int(math.ceil(drained[i] / du - 1e-9))
-    nodes = drained[i] - du * np.arange(steps + 1)
-    nodes[-1] = 0.0  # the last interval ends where the drain starts
-    b = np.interp(nodes, drained[: i + 1], started[: i + 1])
-    table = svc_tail(du * (np.arange((x_grid.size - 1) * r + steps) + 0.5))
-    step = table.itemsize
-    hankel = as_strided(table, shape=(x_grid.size, steps), strides=(r * step, step), writeable=False)
-    return z + hankel @ (b[:-1] - b[1:])
+    if lattice is not None:
+        du, r = lattice
+        steps = [int(math.ceil(drained[i] / du - 1e-9)) for i in rows.ravel()]
+        table = svc_tail(du * (np.arange((x_grid.size - 1) * r + max(steps, default=0)) + 0.5))
+    for row, i in enumerate(rows.ravel()):
+        if i == 0:
+            continue
+        if lattice is None:
+            db = np.diff(started[: i + 1])
+            mid = 0.5 * (drained[:i] + drained[1 : i + 1])
+            args = x_grid[None, :] + (drained[i] - mid)[:, None]
+            z[row] += svc_tail(args).T @ db
+        else:
+            nodes = drained[i] - du * np.arange(steps[row] + 1)
+            nodes[-1] = 0.0  # the last interval ends where the drain starts
+            b = np.interp(nodes, drained[: i + 1], started[: i + 1])
+            hankel = as_strided(table, shape=(x_grid.size, steps[row]),
+                                strides=(r * table.itemsize, table.itemsize), writeable=False)
+            z[row] += hankel @ (b[:-1] - b[1:])
+    return z.reshape(rows.shape + x_grid.shape)
 
 
 def _grid_index(times: np.ndarray, t: float) -> int:
@@ -512,9 +518,7 @@ def solve(params: FluidParams, x_grid=None) -> FluidSolution:
     idx = np.arange(0, params.steps + 1, stride)
     if idx[-1] != params.steps:
         idx = np.append(idx, params.steps)
-    surface = np.empty((idx.size, x_grid.size))
-    for row, i in enumerate(idx):
-        surface[row] = tail_on_grid(params, count, drained, started, int(i), x_grid)
+    surface = tail_on_grid(params, count, drained, started, idx, x_grid)
 
     # identity checks on the assembled solution
     if np.min(surface) < -1e-9:

@@ -2,7 +2,7 @@
 empirical law-of-large-numbers checks for block empirical measures.
 
 Both sides of a gap sit on the scenario's time grid.  The fluid measure at
-a snapshot is ``fluid.tail_on_grid`` at the snapshot's grid index,
+a snapshot is the row of ``fluid.tail_on_grid`` at the snapshot's grid index,
 differenced into cell-midpoint atoms by ``discretize_fluid_measure``.
 
 All stochastic outputs are deterministic functions of the seeds handed in;
@@ -155,11 +155,11 @@ def convergence_experiment(
     fluid_measures = {}
     if not simulation_only:
         x_grid = scenario.x_grid()
-        for t in snapshot_times:
-            i = fluid_mod._grid_index(solution.times, t)
-            z = fluid_mod.tail_on_grid(
-                params, solution.count, solution.drained, solution.started, i, x_grid
-            )
+        idx = [fluid_mod._grid_index(solution.times, t) for t in snapshot_times]
+        rows = fluid_mod.tail_on_grid(
+            params, solution.count, solution.drained, solution.started, idx, x_grid
+        )
+        for t, z in zip(snapshot_times, rows):
             fluid_measures[t] = discretize_fluid_measure(z, x_grid)
 
     def job(key):

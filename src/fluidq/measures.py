@@ -12,11 +12,17 @@ Two representations are used throughout the package:
 The Prohorov distance between two atomic measures is computed exactly (to a
 bisection tolerance) by restricting the closed-set quantifier to finite
 subsets of the supports, which attains the supremum for purely atomic
-measures.  At each bisection midpoint a dynamic program over the sorted
-atoms tests one side at a time, the side with fewer atoms first, and
-stops at the first set whose excess passes the radius.  A test's outcome,
-and so the bisection's path and result, are those of the full dynamic
-program on both sides.
+measures.  At each bisection midpoint a dynamic program tests one side at
+a time, the side with fewer atoms first, and stops at the first set whose
+excess passes the radius.  It runs over runs of consecutive atoms that
+cover the same atoms of the other side: an optimal set takes each such run
+whole, since its other atoms add mass and no cover.  So the pass over a
+side with any number of atoms against m atoms takes at most 2*m + 1
+steps.  In exact arithmetic a test's outcome, and so the bisection's path
+and result, are those of the full dynamic program over single atoms on
+both sides; a run's weight is summed in one pass rather than atom by
+atom, and the tests hold the two to the same bools and the same distance
+float for float.
 """
 
 from __future__ import annotations
@@ -101,39 +107,62 @@ def _excess_at_most(a: AtomicMeasure, b: AtomicMeasure, eps: float) -> bool:
     with S^eps the open eps-enlargement.
 
     Adding points outside supp(a) to a closed test set only inflates the
-    enlargement, so this maximum equals the one over all closed sets.  A
-    left-to-right pass over the atoms of ``a`` suffices: the mass newly
-    covered when a run of chosen atoms is extended depends only on the
-    rightmost atom chosen so far.  ``best[j]`` is the largest excess of a
-    set whose rightmost atom is ``j``, so the pass stops with ``False`` at
-    the first ``best[j] > eps``.  The loop runs over Python floats.
+    enlargement, so this maximum equals the one over all closed sets.
+    Each atom x of ``a`` sees ``b`` only through the index pair of the
+    open interval (x - eps, x + eps) in ``b``'s sorted atoms.  A run of
+    consecutive atoms with the same pair covers the same ``b`` atoms (none
+    when two of them lie 2*eps or more apart), so a set holding one atom
+    of a run gains the rest at no extra ``b`` mass, and the largest excess
+    is reached by a union of whole runs.  Against ``m`` atoms of ``b``
+    there are at most 2*m + 1 runs, however many atoms ``a`` has.  They
+    are found vectorized, by searching the side with fewer atoms, and each
+    keeps its summed weight, its cover and its first and last location.
+
+    A left-to-right pass over the runs then suffices: the mass newly
+    covered when a chosen run is added depends only on the rightmost run
+    chosen so far, and is the run's whole cover when that run ends 2*eps
+    or more before it starts.  ``best[j]`` is the largest excess of a set
+    whose rightmost run is ``j``, so the pass stops with ``False`` at the
+    first ``best[j] > eps``.  The loop runs over Python floats.
     """
-    n = len(a)
-    if n == 0:
+    if len(a) == 0:
         return True
     loc = a.locations
     b_loc = b.locations
     b_cum = np.concatenate(([0.0], np.cumsum(b.weights)))
 
-    # b-mass of the open interval (loc-eps, loc+eps), clipped to [0, inf)
-    upper = b_cum[np.searchsorted(b_loc, loc + eps, side="left")]
-    lower = b_cum[np.searchsorted(b_loc, loc - eps, side="right")]
-    fresh_cost = (upper - lower).tolist()
+    # atom x covers the b-atoms k of (x-eps, x+eps), lo(x) <= k < hi(x); a
+    # run starts wherever lo or hi changes, found by searching the side with
+    # fewer atoms: b-atom k enters the cover at the first x with
+    # b_loc[k] < x + eps and leaves it at the first x with x - eps >= b_loc[k]
+    if loc.size > b_loc.size:
+        cuts = np.concatenate(((loc + eps).searchsorted(b_loc, side="right"),
+                               (loc - eps).searchsorted(b_loc, side="left")))
+        new_run = np.bincount(cuts, minlength=loc.size + 1)[:-1] > 0
+    else:
+        hi = b_loc.searchsorted(loc + eps, side="left")
+        lo = b_loc.searchsorted(loc - eps, side="right")
+        new_run = np.concatenate(([True], (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])))
+    new_run[0] = True
+    starts = new_run.nonzero()[0]
+    first = loc[starts]
+    wgt = np.add.reduceat(a.weights, starts).tolist()
+    upper = b_cum[b_loc.searchsorted(first + eps, side="left")]
+    fresh_cost = (upper - b_cum[b_loc.searchsorted(first - eps, side="right")]).tolist()
     upper = upper.tolist()
-    loc = loc.tolist()
-    wgt = a.weights.tolist()
+    first = first.tolist()
+    last = loc[starts[1:] - 1].tolist() + loc[-1:].tolist()
 
-    best = [0.0] * n
-    far_max = 0.0          # best over atoms left of the 2*eps overlap window
+    best = [0.0] * len(wgt)
+    far_max = 0.0          # best over runs ending 2*eps or more before this one
     far_ptr = 0
-    window = deque()       # (index, best[i] + mass_lt(loc[i] + eps)), max at left
-    for j in range(n):
-        left_edge = loc[j] - 2.0 * eps
-        while far_ptr < j and loc[far_ptr] <= left_edge:
-            i = far_ptr
-            if best[i] > far_max:
-                far_max = best[i]
-            while window and window[0][0] == i:
+    window = deque()       # (index, best[i] + mass_lt(last[i] + eps)), max at left
+    for j in range(len(wgt)):
+        left_edge = first[j] - 2.0 * eps
+        while far_ptr < j and last[far_ptr] <= left_edge:
+            if best[far_ptr] > far_max:
+                far_max = best[far_ptr]
+            while window and window[0][0] == far_ptr:
                 window.popleft()
             far_ptr += 1
         cand = far_max - fresh_cost[j]
@@ -144,18 +173,11 @@ def _excess_at_most(a: AtomicMeasure, b: AtomicMeasure, eps: float) -> bool:
         best[j] = wgt[j] + cand
         if best[j] > eps:
             return False
-        g = best[j] + upper[j]  # mass_lt(loc[j] + eps) == upper[j]
+        g = best[j] + upper[j]  # mass_lt(last[j] + eps) == upper[j]
         while window and window[-1][1] <= g:
             window.pop()
         window.append((j, g))
     return True
-
-
-def _prohorov_ok(m1: AtomicMeasure, m2: AtomicMeasure, eps: float) -> bool:
-    # the side with fewer atoms first: it is cheaper and often decides
-    if len(m2) < len(m1):
-        m1, m2 = m2, m1
-    return _excess_at_most(m1, m2, eps) and _excess_at_most(m2, m1, eps)
 
 
 def prohorov(m1: AtomicMeasure, m2: AtomicMeasure, tol: float = PROHOROV_TOL) -> float:
@@ -164,10 +186,14 @@ def prohorov(m1: AtomicMeasure, m2: AtomicMeasure, tol: float = PROHOROV_TOL) ->
     Bisects on eps in the two-sided enlargement test; the returned value is
     an upper bound on the exact distance, within ``tol`` of it, or as close
     as float spacing allows when ``tol`` is finer than that; ``tol`` must
-    be positive and finite.  Each test stops at the first set whose excess
-    passes eps, and runs the side with fewer atoms first; neither changes
-    a test's outcome, so the bisection takes the same midpoints, and
-    returns the same float, as the full dynamic program on both sides.
+    be positive and finite.  Each test merges the atoms of one side into
+    runs with the same cover on the other side, stops at the first set
+    whose excess passes eps, and runs the side with fewer atoms first.
+    None of these changes a test's outcome: an optimal set is a union of
+    whole runs, and one set with an excess above eps fails the test
+    whatever follows.  So the bisection takes the same midpoints, and
+    returns the same float, as the full dynamic program over single atoms
+    on both sides.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be a positive finite number")
@@ -176,11 +202,14 @@ def prohorov(m1: AtomicMeasure, m2: AtomicMeasure, tol: float = PROHOROV_TOL) ->
     # eps = larger total mass always satisfies the test; pad past rounding
     hi = max(m1.total_mass, m2.total_mass) + tol
     lo = 0.0
+    # the side with fewer atoms first: it is cheaper and often decides
+    if len(m2) < len(m1):
+        m1, m2 = m2, m1
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _prohorov_ok(m1, m2, mid):
+        if _excess_at_most(m1, m2, mid) and _excess_at_most(m2, m1, mid):
             hi = mid
         else:
             lo = mid

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from fluidq.laws import (
     make_deterministic,
     make_exponential,
     make_lognormal,
+    make_uniform,
     table_rate,
 )
 from fluidq.measures import TailFunction
@@ -325,6 +327,25 @@ class TestTailSurface:
             oracle = tail_midpoint_sum(xs.tolist(), drained.tolist(), started.tolist(), i,
                                        p.initial_tail, p.service.tail)
             assert np.max(np.abs(z - np.array(oracle))) <= bound
+
+    @pytest.mark.parametrize("service", [
+        make_exponential(1.0), make_lognormal(0.0, 0.5), make_uniform(0.0, 2.0),
+    ], ids=["exponential", "lognormal", "uniform"])
+    def test_rows_at_once_match_rows_one_by_one(self, service):
+        # one Gc table, built for the latest row, serves every row; the
+        # service tail is elementwise, so its prefix is each row's own table
+        p = params_for(1.2, horizon=2.0, dt=2e-3, rate=capped_linear_rate(0.5, 1.0, 2.0))
+        x, _ = fm.solve_count_path(p)
+        drained = fm.cumulative_drain(x, p.rate, p.dt_effective)
+        _, started = fm.queue_and_starts(x, p.arrival_rate, p.times)
+        p = dataclasses.replace(p, service=service)
+        xs = 0.25 * np.arange(13)
+        assert fm._drain_lattice(p, xs) is not None
+        idx = [0, 1, 377, p.steps]
+        rows = fm.tail_on_grid(p, x, drained, started, idx, xs)
+        assert rows.shape == (len(idx), xs.size)
+        for row, i in zip(rows, idx):
+            assert row.tolist() == fm.tail_on_grid(p, x, drained, started, i, xs).tolist()
 
     def test_off_grid_time_rejected(self, underloaded):
         p, _, _ = underloaded

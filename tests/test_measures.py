@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import erfc
 
 from fluidq.cli import atomic_to_text
 from fluidq.measures import AtomicMeasure, TailFunction, _excess_at_most, prohorov
 
+import oracles
 from oracles import (brute_prohorov, prohorov_reference, shift_tail,
                      subset_excess_reference, tail)
 
@@ -198,10 +200,19 @@ class TestProhorov:
 
 @st.composite
 def measure_pairs(draw):
-    """Two atomic measures on a shared lattice, and an eps that is the
+    """Two atomic measures and an eps, in one of four shapes.
+
+    ``lattice``: both measures on a shared lattice, and an eps that is the
     lattice step or half of it (atoms 2*eps apart, a lattice point midway),
     a gap between two atoms, an atom weight (an excess of exactly eps) or
-    any float up to the larger mass."""
+    any float up to the larger mass.  The other shapes draw ``b`` on the
+    lattice and eps from the step multiples or any float, and give ``a``
+    long runs of atoms with the same cover in ``b``: ``dense`` puts many
+    atoms strictly between a lattice point and the next half step, where an
+    eps that is a multiple of half the step places no cover breakpoint
+    b_loc +- eps; ``edges`` puts atoms exactly on b_loc +- eps; ``spread``
+    adds atoms 2*eps or more apart to the right of every b atom's
+    enlargement, a run whose cover is empty."""
     step = draw(st.sampled_from([0.1, 0.125, 0.25, 0.3]))
     weight = st.one_of(st.sampled_from([0.25, 0.5, 1.0]),
                        st.floats(0.01, 2.0, allow_nan=False))
@@ -212,16 +223,42 @@ def measure_pairs(draw):
         weights = draw(st.lists(weight, min_size=k, max_size=k))
         return AtomicMeasure([step * i for i in sites], weights)
 
-    a, b = measure(), measure()
-    locs = np.concatenate([a.locations, b.locations]).tolist()
-    gaps = sorted({abs(x - y) for x in locs for y in locs} - {0.0})
-    masses = np.concatenate([a.weights, b.weights]).tolist()
-    eps = draw(st.one_of(
-        st.sampled_from([0.5 * step, step]),
-        st.sampled_from(gaps or [step]),
-        st.sampled_from(masses or [0.5]),
-        st.floats(1e-6, max(a.total_mass, b.total_mass, 1e-6) + 0.1),
-    ))
+    def with_weights(locations):
+        weights = draw(st.lists(weight, min_size=len(locations), max_size=len(locations)))
+        return AtomicMeasure(locations, weights)
+
+    shape = draw(st.sampled_from(["lattice", "dense", "edges", "spread"]))
+    if shape == "lattice":
+        a, b = measure(), measure()
+        locs = np.concatenate([a.locations, b.locations]).tolist()
+        gaps = sorted({abs(x - y) for x in locs for y in locs} - {0.0})
+        masses = np.concatenate([a.weights, b.weights]).tolist()
+        eps = draw(st.one_of(
+            st.sampled_from([0.5 * step, step]),
+            st.sampled_from(gaps or [step]),
+            st.sampled_from(masses or [0.5]),
+            st.floats(1e-6, max(a.total_mass, b.total_mass, 1e-6) + 0.1),
+        ))
+        return a, b, eps
+    b = measure()
+    eps = draw(st.one_of(st.sampled_from([0.5 * step, step, 1.5 * step]),
+                         st.floats(1e-3, 1.0)))
+    if shape == "dense":
+        site = draw(st.integers(0, 8))
+        offsets = draw(st.lists(st.floats(0.01, 0.49), min_size=2, max_size=12))
+        a = with_weights([step * (site + u) for u in offsets])
+    elif shape == "edges":
+        centres = b.locations.tolist() or [step * draw(st.integers(0, 8))]
+        picks = draw(st.lists(st.tuples(st.sampled_from(centres), st.sampled_from([-1.0, 1.0])),
+                              min_size=1, max_size=8))
+        a = with_weights([c + sign * eps for c, sign in picks if c + sign * eps >= 0.0])
+    else:
+        far = (float(b.locations[-1]) if len(b) else 0.0) + eps * draw(
+            st.sampled_from([1.0, 1.5, 3.0]))
+        spacing = draw(st.lists(st.sampled_from([2.0, 2.5, 4.0]), min_size=1, max_size=10))
+        near = draw(st.lists(st.integers(0, 8), max_size=4))
+        a = with_weights([step * i for i in near]
+                         + (far + eps * np.cumsum([0.0] + spacing)).tolist())
     return a, b, eps
 
 
@@ -234,11 +271,43 @@ class TestShortCircuit:
     # a b-atom midway between two a-atoms 2*eps apart lies in neither
     # open enlargement
     @example((m((0.0, 0.2), (0.5, 0.2)), m((0.25, 1.0)), 0.25))
+    # many a-atoms between two cover breakpoints: all six see only b's 0.5
+    @example((m((0.3125, 0.1), (0.34375, 0.1), (0.375, 0.1), (0.40625, 0.1),
+                (0.4375, 0.1), (0.46875, 0.1)), m((0.0, 0.25), (0.5, 0.25)), 0.25))
+    # a-atoms exactly on b_loc +- eps: the open enlargements miss those b-atoms
+    @example((m((0.25, 0.5), (0.75, 0.5), (1.25, 0.5)), m((0.5, 0.5), (1.0, 0.5)), 0.25))
+    # a run 2*eps apart right of b's enlargement: its cover is empty
+    @example((m((0.25, 0.25), (1.25, 0.125), (1.75, 0.125), (2.25, 0.125)),
+              m((0.25, 0.5)), 0.25))
     def test_matches_full_dynamic_program(self, case):
         a, b, eps = case
         assert _excess_at_most(a, b, eps) == (subset_excess_reference(a, b, eps) <= eps)
         assert _excess_at_most(b, a, eps) == (subset_excess_reference(b, a, eps) <= eps)
         assert prohorov(a, b) == prohorov_reference(a, b)
+
+    def test_workload_shape_matches_reference(self, monkeypatch):
+        # compare's shape: a 5000-atom lognormal(0, 0.5) sample of mass 1/n
+        # against 200 cell-midpoint atoms of a 0.05 grid on [0, 10) carrying
+        # the lognormal cell masses, the last cell taking the mass beyond 10
+        sample = np.random.default_rng(2012).lognormal(0.0, 0.5, 5000)
+        a = AtomicMeasure(sample, np.full(sample.size, 1.0 / sample.size))
+        edges = 0.05 * np.arange(201)
+        cdf = np.concatenate(([0.0], 0.5 * erfc(-np.log(edges[1:]) / (0.5 * np.sqrt(2.0)))))
+        mass = np.diff(cdf)
+        mass[-1] += 1.0 - cdf[-1]
+        b = AtomicMeasure(0.5 * (edges[:-1] + edges[1:]), mass)
+        visited = []
+
+        def recording(x, y, eps):
+            visited.append(eps)
+            return subset_excess_reference(x, y, eps)
+
+        monkeypatch.setattr(oracles, "subset_excess_reference", recording)
+        assert prohorov(a, b) == oracles.prohorov_reference(a, b)
+        assert len(set(visited)) > 20
+        for eps in set(visited):
+            assert _excess_at_most(a, b, eps) == (subset_excess_reference(a, b, eps) <= eps)
+            assert _excess_at_most(b, a, eps) == (subset_excess_reference(b, a, eps) <= eps)
 
     def test_fine_tolerance_ends(self):
         d = prohorov(m((0.0, 1.0)), m((0.3, 1.0)), tol=1e-20)

@@ -285,6 +285,24 @@ class TestCli:
         assert len(data) == 2  # header plus the t = 0 row
         assert data[1].split("\t")[0] == "0.0"
 
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_fluid_commands_reject_horizon_zero(self, tmp_path, command, monkeypatch, capsys):
+        # refused before any solving, with a message that names horizon
+        def no_solving(*args, **kwargs):
+            raise AssertionError("solved a zero horizon")
+
+        monkeypatch.setattr(cli, "solve", no_solving)
+        monkeypatch.setattr(cli, "convergence_experiment", no_solving)
+        scn = tmp_path / "h0.scn"
+        scn.write_text(TINY.replace("horizon = 0.5", "horizon = 0.0")
+                           .replace("snapshot_times = 0.25,0.5", "snapshot_times = 0.0"))
+        out = tmp_path / "out"
+        code = run_cli([command, "--scenario", str(scn), "--out", str(out), "--quiet"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {command} needs horizon > 0, got 0.0\n")
+        assert not out.exists()
+
     def test_byte_identical_artifacts(self, tmp_path, tiny_scenario):
         outs = []
         for tag in ("a", "b"):
