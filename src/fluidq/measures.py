@@ -115,8 +115,8 @@ def _excess_at_most(a: AtomicMeasure, b: AtomicMeasure, eps: float) -> bool:
     of a run gains the rest at no extra ``b`` mass, and the largest excess
     is reached by a union of whole runs.  Against ``m`` atoms of ``b``
     there are at most 2*m + 1 runs, however many atoms ``a`` has.  They
-    are found vectorized, by searching the side with fewer atoms, and each
-    keeps its summed weight, its cover and its first and last location.
+    are found vectorized, and each keeps its summed weight, its cover and
+    its first and last location.
 
     A left-to-right pass over the runs then suffices: the mass newly
     covered when a chosen run is added depends only on the rightmost run
@@ -131,26 +131,16 @@ def _excess_at_most(a: AtomicMeasure, b: AtomicMeasure, eps: float) -> bool:
     b_loc = b.locations
     b_cum = np.concatenate(([0.0], np.cumsum(b.weights)))
 
-    # atom x covers the b-atoms k of (x-eps, x+eps), lo(x) <= k < hi(x); a
-    # run starts wherever lo or hi changes, found by searching the side with
-    # fewer atoms: b-atom k enters the cover at the first x with
-    # b_loc[k] < x + eps and leaves it at the first x with x - eps >= b_loc[k]
-    if loc.size > b_loc.size:
-        cuts = np.concatenate(((loc + eps).searchsorted(b_loc, side="right"),
-                               (loc - eps).searchsorted(b_loc, side="left")))
-        new_run = np.bincount(cuts, minlength=loc.size + 1)[:-1] > 0
-    else:
-        hi = b_loc.searchsorted(loc + eps, side="left")
-        lo = b_loc.searchsorted(loc - eps, side="right")
-        new_run = np.concatenate(([True], (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])))
-    new_run[0] = True
-    starts = new_run.nonzero()[0]
-    first = loc[starts]
+    # atom x covers the b-atoms k of (x-eps, x+eps), lo <= k < hi; a run
+    # starts wherever lo or hi changes
+    hi = b_loc.searchsorted(loc + eps, side="left")
+    lo = b_loc.searchsorted(loc - eps, side="right")
+    starts = np.concatenate(([True], (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1]))).nonzero()[0]
     wgt = np.add.reduceat(a.weights, starts).tolist()
-    upper = b_cum[b_loc.searchsorted(first + eps, side="left")]
-    fresh_cost = (upper - b_cum[b_loc.searchsorted(first - eps, side="right")]).tolist()
+    upper = b_cum[hi[starts]]
+    fresh_cost = (upper - b_cum[lo[starts]]).tolist()
     upper = upper.tolist()
-    first = first.tolist()
+    first = loc[starts].tolist()
     last = loc[starts[1:] - 1].tolist() + loc[-1:].tolist()
 
     best = [0.0] * len(wgt)

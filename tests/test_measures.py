@@ -200,19 +200,10 @@ class TestProhorov:
 
 @st.composite
 def measure_pairs(draw):
-    """Two atomic measures and an eps, in one of four shapes.
-
-    ``lattice``: both measures on a shared lattice, and an eps that is the
+    """Two atomic measures on a shared lattice, and an eps that is the
     lattice step or half of it (atoms 2*eps apart, a lattice point midway),
     a gap between two atoms, an atom weight (an excess of exactly eps) or
-    any float up to the larger mass.  The other shapes draw ``b`` on the
-    lattice and eps from the step multiples or any float, and give ``a``
-    long runs of atoms with the same cover in ``b``: ``dense`` puts many
-    atoms strictly between a lattice point and the next half step, where an
-    eps that is a multiple of half the step places no cover breakpoint
-    b_loc +- eps; ``edges`` puts atoms exactly on b_loc +- eps; ``spread``
-    adds atoms 2*eps or more apart to the right of every b atom's
-    enlargement, a run whose cover is empty."""
+    any float up to the larger mass."""
     step = draw(st.sampled_from([0.1, 0.125, 0.25, 0.3]))
     weight = st.one_of(st.sampled_from([0.25, 0.5, 1.0]),
                        st.floats(0.01, 2.0, allow_nan=False))
@@ -223,26 +214,42 @@ def measure_pairs(draw):
         weights = draw(st.lists(weight, min_size=k, max_size=k))
         return AtomicMeasure([step * i for i in sites], weights)
 
+    a, b = measure(), measure()
+    locs = np.concatenate([a.locations, b.locations]).tolist()
+    gaps = sorted({abs(x - y) for x in locs for y in locs} - {0.0})
+    masses = np.concatenate([a.weights, b.weights]).tolist()
+    eps = draw(st.one_of(
+        st.sampled_from([0.5 * step, step]),
+        st.sampled_from(gaps or [step]),
+        st.sampled_from(masses or [0.5]),
+        st.floats(1e-6, max(a.total_mass, b.total_mass, 1e-6) + 0.1),
+    ))
+    return a, b, eps
+
+
+@st.composite
+def run_pairs(draw):
+    """A lattice measure ``b``, an eps that is a multiple of half the step
+    or any float, and a measure ``a`` with long runs of atoms that cover
+    the same atoms of ``b``, in one of three shapes: ``dense`` puts many
+    atoms strictly between a lattice point and the next half step, where
+    no cover breakpoint b_loc +- eps falls for the step multiples;
+    ``edges`` puts atoms exactly on b_loc +- eps; ``spread`` adds atoms
+    2*eps or more apart to the right of every b atom's enlargement, a run
+    whose cover is empty."""
+    step = draw(st.sampled_from([0.1, 0.125, 0.25, 0.3]))
+    weight = st.one_of(st.sampled_from([0.25, 0.5, 1.0]),
+                       st.floats(0.01, 2.0, allow_nan=False))
+
     def with_weights(locations):
         weights = draw(st.lists(weight, min_size=len(locations), max_size=len(locations)))
         return AtomicMeasure(locations, weights)
 
-    shape = draw(st.sampled_from(["lattice", "dense", "edges", "spread"]))
-    if shape == "lattice":
-        a, b = measure(), measure()
-        locs = np.concatenate([a.locations, b.locations]).tolist()
-        gaps = sorted({abs(x - y) for x in locs for y in locs} - {0.0})
-        masses = np.concatenate([a.weights, b.weights]).tolist()
-        eps = draw(st.one_of(
-            st.sampled_from([0.5 * step, step]),
-            st.sampled_from(gaps or [step]),
-            st.sampled_from(masses or [0.5]),
-            st.floats(1e-6, max(a.total_mass, b.total_mass, 1e-6) + 0.1),
-        ))
-        return a, b, eps
-    b = measure()
+    k = draw(st.integers(0, 7))
+    b = with_weights([step * i for i in draw(st.lists(st.integers(0, 8), min_size=k, max_size=k))])
     eps = draw(st.one_of(st.sampled_from([0.5 * step, step, 1.5 * step]),
                          st.floats(1e-3, 1.0)))
+    shape = draw(st.sampled_from(["dense", "edges", "spread"]))
     if shape == "dense":
         site = draw(st.integers(0, 8))
         offsets = draw(st.lists(st.floats(0.01, 0.49), min_size=2, max_size=12))
@@ -280,6 +287,14 @@ class TestShortCircuit:
     @example((m((0.25, 0.25), (1.25, 0.125), (1.75, 0.125), (2.25, 0.125)),
               m((0.25, 0.5)), 0.25))
     def test_matches_full_dynamic_program(self, case):
+        a, b, eps = case
+        assert _excess_at_most(a, b, eps) == (subset_excess_reference(a, b, eps) <= eps)
+        assert _excess_at_most(b, a, eps) == (subset_excess_reference(b, a, eps) <= eps)
+        assert prohorov(a, b) == prohorov_reference(a, b)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(run_pairs())
+    def test_runs_match_full_dynamic_program(self, case):
         a, b, eps = case
         assert _excess_at_most(a, b, eps) == (subset_excess_reference(a, b, eps) <= eps)
         assert _excess_at_most(b, a, eps) == (subset_excess_reference(b, a, eps) <= eps)
