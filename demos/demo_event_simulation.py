@@ -25,7 +25,7 @@ sim = Simulator(
     state=init(2, residuals=[0.4, 1.1]),
     seed=7,
 )
-traj = sim.run(6.0, grid=np.linspace(0, 6, 13), snapshot_times=[2.0, 4.0])
+traj = sim.run(6.0, grid=np.linspace(0, 6, 13), snapshot_times=[2.0, 4.0], record=True)
 
 print("event log (time, kind, customer):")
 for e in traj.events:

@@ -186,7 +186,7 @@ def _cmd_simulate(scenario, writer: _Writer, n_list, seeds, say):
                 writer.write(
                     f"snapshots_n{n}_seed{seed}.txt", snapshots_to_text(traj, header)
                 )
-            say(f"simulate n={n} seed={seed}: {len(traj.events)} events")
+            say(f"simulate n={n} seed={seed}: {traj.event_count} events")
 
 
 def _cmd_solve(scenario, writer: _Writer, say):

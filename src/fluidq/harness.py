@@ -39,7 +39,8 @@ class ConvergenceReport:
     fluid solution, plus Prohorov distances at snapshot times.
 
     ``simulation_only`` reports carry no gaps: the service law admits no
-    fluid target, so only the runs themselves are recorded.
+    fluid target, so each (n, seed) row holds nan gaps and nothing is
+    simulated.
     """
 
     scenario_name: str
@@ -92,12 +93,13 @@ def discretize_fluid_measure(z, x_grid) -> AtomicMeasure:
     return AtomicMeasure(locations, cell_mass)
 
 
-def run_scenario_once(scenario, n: int, seed: int, grid=None, snapshot_times=()):
+def run_scenario_once(scenario, n: int, seed: int, grid=None, snapshot_times=(), record=False):
     """One raw simulation run of the scenario at scale n.
 
     The initial condition is sampled from the scenario's initial tail and
     queue mass; arrival and service streams derive from ``seed`` alone so a
-    fixed seed couples the draws across the n ladder.
+    fixed seed couples the draws across the n ladder.  The event log and
+    customer records are kept only with ``record``.
     """
     service = scenario.build_service()
     state_rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
@@ -115,7 +117,7 @@ def run_scenario_once(scenario, n: int, seed: int, grid=None, snapshot_times=())
         state=state,
         seed=seed,
     )
-    return sim.run(scenario.horizon, grid=grid, snapshot_times=snapshot_times)
+    return sim.run(scenario.horizon, grid=grid, snapshot_times=snapshot_times, record=record)
 
 
 def convergence_experiment(
@@ -129,7 +131,8 @@ def convergence_experiment(
 
     ``seeds`` defaults to the scenario's seed plus 0 .. replications - 1.
     Laws without a Lipschitz density have no fluid target; the report is
-    then marked simulation-only.  Deterministic for fixed seeds.
+    then marked simulation-only and its rows are built without running
+    the simulations.  Deterministic for fixed seeds.
     """
     n_list = list(scenario.n_list if n_list is None else n_list)
     if seeds is None:
@@ -164,9 +167,9 @@ def convergence_experiment(
 
     def job(key):
         n, seed = key
-        traj = run_scenario_once(scenario, n, seed, grid, snapshot_times)
         if simulation_only:
             return GapRow(n, seed, math.nan, math.nan, math.nan, ())
+        traj = run_scenario_once(scenario, n, seed, grid, snapshot_times)
         # fluid scaling: counts and measures divided by n
         inv = 1.0 / n
         count_gap = float(np.max(np.abs(traj.count * inv - solution.count)))

@@ -102,7 +102,13 @@ class AtomicMeasure:
         return AtomicMeasure(self.locations, self.weights * factor)
 
 
-def _excess_at_most(a: AtomicMeasure, b: AtomicMeasure, eps: float) -> bool:
+def _cumulative(m: AtomicMeasure) -> np.ndarray:
+    """0 followed by the running sums of m's weights, so that the mass of
+    atoms lo .. hi-1 is cum[hi] - cum[lo]."""
+    return np.concatenate(([0.0], np.cumsum(m.weights)))
+
+
+def _excess_at_most(a: AtomicMeasure, b: AtomicMeasure, eps: float, b_cum=None) -> bool:
     """Whether a(S) - b(S^eps) <= eps for every finite S within supp(a),
     with S^eps the open eps-enlargement.
 
@@ -123,13 +129,15 @@ def _excess_at_most(a: AtomicMeasure, b: AtomicMeasure, eps: float) -> bool:
     chosen so far, and is the run's whole cover when that run ends 2*eps
     or more before it starts.  ``best[j]`` is the largest excess of a set
     whose rightmost run is ``j``, so the pass stops with ``False`` at the
-    first ``best[j] > eps``.  The loop runs over Python floats.
+    first ``best[j] > eps``.  The loop runs over Python floats.  ``b_cum``
+    is ``_cumulative(b)``, computed here when not handed in.
     """
     if len(a) == 0:
         return True
     loc = a.locations
     b_loc = b.locations
-    b_cum = np.concatenate(([0.0], np.cumsum(b.weights)))
+    if b_cum is None:
+        b_cum = _cumulative(b)
 
     # atom x covers the b-atoms k of (x-eps, x+eps), lo <= k < hi; a run
     # starts wherever lo or hi changes
@@ -195,11 +203,12 @@ def prohorov(m1: AtomicMeasure, m2: AtomicMeasure, tol: float = PROHOROV_TOL) ->
     # the side with fewer atoms first: it is cheaper and often decides
     if len(m2) < len(m1):
         m1, m2 = m2, m1
+    cum1, cum2 = _cumulative(m1), _cumulative(m2)  # fixed across the bisection
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _excess_at_most(m1, m2, mid) and _excess_at_most(m2, m1, mid):
+        if _excess_at_most(m1, m2, mid, cum2) and _excess_at_most(m2, m1, mid, cum1):
             hi = mid
         else:
             lo = mid

@@ -10,9 +10,12 @@ o + v.  Events therefore cost O(log m) with m customers in service, and the
 work integral over any service interval is an exact difference of offsets.
 
 X moves by +-1, so each simulator tabulates k(X/n) per integer count on
-first use and never evaluates the rate function twice at one count.  The
-run loop peeks the next event time once per event and hands that peek to
-the step that processes the event.
+first use and never evaluates the rate function twice at one count.
+``Simulator.run`` is one loop over locals: each event costs a
+departure-time division, one comparison against the next arrival and one
+against the next grid-or-snapshot time, the event itself, and the state
+invariants tested as integer comparisons.  The event log and the
+per-customer records are kept only on request.
 """
 
 from __future__ import annotations
@@ -59,7 +62,8 @@ class SimState:
     service, ordered by when the cumulative drain will reach them.
     ``started`` is the index of the last customer to have entered service,
     which always equals arrivals - queue length (initial customers carry
-    indices <= 0).
+    indices <= 0).  ``records`` holds the initial customers' records from
+    ``init``; a run adds to and updates it only when it records.
     """
 
     n: int
@@ -73,14 +77,6 @@ class SimState:
     count: int = 0
     initial_count: int = 0
     records: dict = field(default_factory=dict)
-
-    @property
-    def in_service(self) -> int:
-        return len(self.heap)
-
-    @property
-    def queue_length(self) -> int:
-        return len(self.queue)
 
     def check(self):
         busy = len(self.heap)
@@ -174,11 +170,15 @@ class Snapshot:
 
 @dataclass
 class Trajectory:
-    """Event log plus paths sampled on a reporting grid.
+    """Paths sampled on a reporting grid, residual-work snapshots and,
+    when the run records, the event log and customer records.
 
     Columns: count (in system), queue, in_service, started (index of the
     last customer to enter service) and drained (cumulative per-server
-    work).  Counts are unscaled integers.
+    work).  Counts are unscaled integers.  ``event_count`` is the number
+    of log entries (arrivals, service starts, departures) the run made,
+    recorded or not; without recording ``events`` and ``records`` are
+    empty.
     """
 
     n: int
@@ -189,84 +189,44 @@ class Trajectory:
     in_service: np.ndarray
     started: np.ndarray
     drained: np.ndarray
+    event_count: int
     events: list
     snapshots: list
     records: dict
     initial_count: int
 
 
-class _GapStream:
-    """Arrival gaps from a law (scaled by 1/n) or an explicit time list."""
-
-    def __init__(self, arrivals, n, rng):
-        self._n = n
-        self._rng = rng
-        self._law = None
-        self._times = None
-        self._pos = 0
-        self._buf = np.empty(0)
-        self._last = 0.0  # renewal clock starts at time zero
-        if arrivals is None:
-            self._next = math.inf
-        elif isinstance(arrivals, ArrivalLaw):
-            self._law = arrivals
-            self._next = math.inf if arrivals.rate == 0.0 else self._last + self._draw() / n
-        else:
-            self._times = [float(t) for t in arrivals]
-            if any(b < a for a, b in zip(self._times, self._times[1:])):
-                raise ValueError("explicit arrival times must be nondecreasing")
-            self._next = self._times[0] if self._times else math.inf
-
-    def _draw(self) -> float:
-        if self._pos >= self._buf.size:
-            self._buf = self._law.sample_gaps(self._rng, 1024)
-            self._pos = 0
-        g = float(self._buf[self._pos])
-        self._pos += 1
-        return g
-
-    @property
-    def next_time(self) -> float:
-        return self._next
-
-    def advance(self):
-        if self._law is not None:
-            self._last = self._next
-            self._next = self._last + self._draw() / self._n
-        else:
-            self._pos += 1
-            self._next = (
-                self._times[self._pos] if self._pos < len(self._times) else math.inf
-            )
+def _upto(times: list, horizon: float) -> list:
+    """The leading run of ``times`` at or before ``horizon``, then inf."""
+    k = 0
+    while k < len(times) and times[k] <= horizon:
+        k += 1
+    return times[:k] + [math.inf]
 
 
-class _RequirementStream:
-    """Service requirements in arrival-index order."""
+def _arrival_times(arrivals, n, rng):
+    """Arrival times, then inf forever: renewal gaps from a law scaled by
+    1/n on a clock that starts at zero, or an explicit list of floats."""
+    if isinstance(arrivals, ArrivalLaw):
+        last = 0.0
+        while arrivals.rate != 0.0:  # a zero rate never arrives
+            for g in arrivals.sample_gaps(rng, 1024).tolist():
+                last = last + g / n
+                yield last
+    elif arrivals is not None:
+        yield from arrivals
+    while True:
+        yield math.inf
 
-    def __init__(self, service, rng):
-        self._law = None
-        self._list = None
-        self._pos = 0
-        self._buf = np.empty(0)
-        if isinstance(service, ServiceLaw):
-            self._law = service
-            self._rng = rng
-        else:
-            self._list = [float(v) for v in service]
 
-    def draw(self) -> float:
-        if self._law is not None:
-            if self._pos >= self._buf.size:
-                self._buf = self._law.sample(self._rng, 1024)
-                self._pos = 0
-            v = float(self._buf[self._pos])
-            self._pos += 1
-            return v
-        if self._pos >= len(self._list):
-            raise ValueError("explicit requirement list exhausted")
-        v = self._list[self._pos]
-        self._pos += 1
-        return v
+def _requirements(service, rng):
+    """Service requirements in arrival-index order, from a law or an
+    explicit list of floats."""
+    if isinstance(service, ServiceLaw):
+        while True:
+            yield from service.sample(rng, 1024).tolist()
+    yield from service
+    raise ValueError("explicit requirement list exhausted")
 
 
 class Simulator:
@@ -286,142 +246,158 @@ class Simulator:
         self.state = state if state is not None else init(n)
         if self.state.n != n:
             raise ValueError("state was built for a different server count")
+        if arrivals is not None and not isinstance(arrivals, ArrivalLaw):
+            arrivals = [float(t) for t in arrivals]
+            if any(b < a for a, b in zip(arrivals, arrivals[1:])):
+                raise ValueError("explicit arrival times must be nondecreasing")
+        if not isinstance(service, ServiceLaw):
+            service = [float(v) for v in service]
         ss = np.random.SeedSequence(seed)
         arr_seed, svc_seed = ss.spawn(2)
-        self._gaps = _GapStream(arrivals, n, np.random.default_rng(arr_seed))
-        self._reqs = _RequirementStream(service, np.random.default_rng(svc_seed))
+        self._arrivals = _arrival_times(arrivals, n, np.random.default_rng(arr_seed))
+        self._next_arrival = next(self._arrivals)
+        self._requirements = _requirements(service, np.random.default_rng(svc_seed))
         self._rates: dict = {}  # count c -> float(rate(c / n)), filled on first use
-
-    # -- event machinery --------------------------------------------------
-
-    def _current_rate(self) -> float:
-        c = self.state.count
-        r = self._rates.get(c)
-        if r is None:
-            r = self._rates[c] = float(self.rate(c / self.n))
-        return r
-
-    def _departure_time(self, r: float) -> float:
-        s = self.state
-        if not s.heap or r <= 0.0:
-            return math.inf
-        return s.clock + (s.heap[0][0] - s.drained) / r
-
-    def peek_next_time(self):
-        r = self._current_rate()
-        return r, self._departure_time(r), self._gaps.next_time
-
-    def _step(self, r: float, dep: float, arr: float) -> list:
-        """Advance to the next event given the current
-        ``peek_next_time()``; departures win ties with arrivals.
-
-        Returns the list of log entries produced (simultaneous departures
-        come out as one event, ordered by customer index) or an empty list
-        when no further event can occur.
-        """
-        s = self.state
-        if min(dep, arr) == math.inf:
-            return []
-        out = []
-        if dep <= arr:
-            target = s.heap[0][0]
-            s.clock = dep
-            s.drained = target  # exact: kills accumulation drift
-            leaving = []
-            while s.heap and s.heap[0][0] <= s.drained + RESIDUAL_TOL:
-                key, idx = heappop(s.heap)
-                leaving.append(idx)
-            leaving.sort()
-            for idx in leaving:
-                s.departures += 1
-                s.count -= 1
-                rec = s.records[idx]
-                rec.departure_time = dep
-                rec.departure_drained = s.drained
-                out.append(Event(dep, DEPARTURE, idx))
-            while s.queue and len(s.heap) < s.n:
-                idx, v = s.queue.popleft()
-                if idx != s.started + 1:
-                    raise AssertionError("FCFS violated in queue admission")
-                s.started = idx
-                heappush(s.heap, (s.drained + v, idx))
-                rec = s.records[idx]
-                rec.start_time = dep
-                rec.start_drained = s.drained
-                out.append(Event(dep, START, idx))
-        else:
-            s.drained += r * (arr - s.clock)
-            s.clock = arr
-            s.arrivals += 1
-            idx = s.arrivals
-            v = self._reqs.draw()
-            if v <= 0:
-                raise ValueError("service requirement must be positive")
-            s.records[idx] = CustomerRecord(requirement=v, arrival_time=arr)
-            s.count += 1
-            out.append(Event(arr, ARRIVAL, idx))
-            if len(s.heap) < s.n:
-                if idx != s.started + 1:
-                    raise AssertionError("FCFS violated on direct entry")
-                s.started = idx
-                heappush(s.heap, (s.drained + v, idx))
-                rec = s.records[idx]
-                rec.start_time = arr
-                rec.start_drained = s.drained
-                out.append(Event(arr, START, idx))
-            else:
-                s.queue.append((idx, v))
-            self._gaps.advance()
-        s.check()
-        return out
-
-    def snapshot(self, at_time: Optional[float] = None) -> Snapshot:
-        """Residual-work measure at ``at_time`` (>= clock, before the next
-        event); defaults to the current clock."""
-        s = self.state
-        t = s.clock if at_time is None else at_time
-        r = self._current_rate()
-        drained = s.drained + r * (t - s.clock)
-        locs = np.fromiter((key - drained for key, _ in s.heap), dtype=float, count=len(s.heap))
-        return Snapshot(time=t, measure=AtomicMeasure(locs, np.ones_like(locs)), drained=drained)
 
     def run(
         self,
         horizon: float,
         grid: Optional[Sequence[float]] = None,
         snapshot_times: Sequence[float] = (),
+        record: bool = False,
     ) -> Trajectory:
+        """Process every event up to ``horizon``; departures win ties with
+        arrivals, and simultaneous departures are one event, logged in
+        customer-index order.
+
+        Counters are sampled at the ``grid`` points (101 points on
+        [0, horizon] by default) and the residual-work measure at
+        ``snapshot_times``; a point at time t sees the state before any
+        event at t.  The points from the first one past the horizon on are
+        dropped.  The event log and the customer records are kept only
+        with ``record``.
+
+        The loop keeps the state's scalars in locals and writes them back
+        when it stops.  After every event it tests the five invariants of
+        ``SimState.check`` as integer comparisons and stops at the first
+        broken one, which the closing ``check`` then names.
+        """
         if horizon < 0:
             raise ValueError("horizon must be >= 0")
         if grid is None:
             grid = np.linspace(0.0, horizon, 101) if horizon > 0 else np.array([0.0])
-        grid = np.asarray(grid, dtype=float).tolist()
-        snaps_at = sorted(float(t) for t in snapshot_times)
+        grid = _upto(np.asarray(grid, dtype=float).tolist(), horizon)
+        snaps_at = _upto(sorted(float(t) for t in snapshot_times), horizon)
         s = self.state
+        n = self.n
+        heap, queue, records = s.heap, s.queue, s.records
+        clock, drained = s.clock, s.drained
+        arrivals, departures, started, count = s.arrivals, s.departures, s.started, s.count
+        counters_before = arrivals + departures + started
+        rates, rate_fn = self._rates, self.rate
+        next_arrival, draw = self._arrivals.__next__, self._requirements.__next__
+        inf = math.inf
+        neg_tol = -RESIDUAL_TOL
         events: list = []
         rows = {k: [] for k in ("t", "count", "queue", "zsrv", "started", "drained")}
         snapshots: list = []
         gi = si = 0
-        while True:
-            r, dep, arr = self.peek_next_time()
-            t_next = min(dep, arr)
-            while gi < len(grid) and grid[gi] <= horizon and grid[gi] < t_next:
-                g = grid[gi]
-                rows["t"].append(g)
-                rows["count"].append(s.count)
-                rows["queue"].append(s.queue_length)
-                rows["zsrv"].append(s.in_service)
-                rows["started"].append(s.started)
-                rows["drained"].append(s.drained + r * (g - s.clock))
-                gi += 1
-            while si < len(snaps_at) and snaps_at[si] <= horizon and snaps_at[si] < t_next:
-                snapshots.append(self.snapshot(snaps_at[si]))
-                si += 1
-            if t_next > horizon or t_next == math.inf:
-                break
-            events.extend(self._step(r, dep, arr))
+        t_sample = min(grid[0], snaps_at[0])  # next grid or snapshot time
+        r = rates.get(count)  # k(count / n), tabulated per count on first use
+        if r is None:
+            r = rates[count] = float(rate_fn(count / n))
+        arr = self._next_arrival
+        try:
+            while True:
+                dep = inf if not heap or r <= 0.0 else clock + (heap[0][0] - drained) / r
+                t_next = dep if dep <= arr else arr
+                if t_sample < t_next:
+                    while grid[gi] < t_next:
+                        g = grid[gi]
+                        rows["t"].append(g)
+                        rows["count"].append(count)
+                        rows["queue"].append(len(queue))
+                        rows["zsrv"].append(len(heap))
+                        rows["started"].append(started)
+                        rows["drained"].append(drained + r * (g - clock))
+                        gi += 1
+                    while snaps_at[si] < t_next:
+                        t = snaps_at[si]
+                        d = drained + r * (t - clock)
+                        locs = np.fromiter((key - d for key, _ in heap), dtype=float,
+                                           count=len(heap))
+                        snapshots.append(Snapshot(t, AtomicMeasure(locs, np.ones_like(locs)), d))
+                        si += 1
+                    t_sample = min(grid[gi], snaps_at[si])
+                if t_next > horizon or t_next == inf:
+                    break
+                if dep <= arr:
+                    clock = dep
+                    drained = heap[0][0]  # exact: kills accumulation drift
+                    leaving = []
+                    while heap and heap[0][0] <= drained + RESIDUAL_TOL:
+                        leaving.append(heappop(heap)[1])
+                    departures += len(leaving)
+                    count -= len(leaving)
+                    if record:
+                        for idx in sorted(leaving):
+                            rec = records[idx]
+                            rec.departure_time = dep
+                            rec.departure_drained = drained
+                            events.append(Event(dep, DEPARTURE, idx))
+                    while queue and len(heap) < n:
+                        idx, v = queue.popleft()
+                        if idx != started + 1:
+                            raise AssertionError("FCFS violated in queue admission")
+                        started = idx
+                        heappush(heap, (drained + v, idx))
+                        if record:
+                            rec = records[idx]
+                            rec.start_time = dep
+                            rec.start_drained = drained
+                            events.append(Event(dep, START, idx))
+                else:
+                    drained += r * (arr - clock)
+                    clock = arr
+                    arrivals += 1
+                    idx = arrivals
+                    v = draw()
+                    if v <= 0:
+                        raise ValueError("service requirement must be positive")
+                    count += 1
+                    if record:
+                        rec = records[idx] = CustomerRecord(requirement=v, arrival_time=arr)
+                        events.append(Event(arr, ARRIVAL, idx))
+                    if len(heap) < n:
+                        if idx != started + 1:
+                            raise AssertionError("FCFS violated on direct entry")
+                        started = idx
+                        heappush(heap, (drained + v, idx))
+                        if record:
+                            rec.start_time = arr
+                            rec.start_drained = drained
+                            events.append(Event(arr, START, idx))
+                    else:
+                        queue.append((idx, v))
+                    arr = next_arrival()
+                r = rates.get(count)
+                if r is None:
+                    r = rates[count] = float(rate_fn(count / n))
+                busy = len(heap)
+                waiting = len(queue)
+                if (count != busy + waiting
+                        or waiting != (count - n if count > n else 0)
+                        or busy != (count if count < n else n)
+                        or started != arrivals - waiting
+                        or (heap and heap[0][0] - drained < neg_tol)):
+                    break
+        finally:
+            s.clock, s.drained = clock, drained
+            s.arrivals, s.departures, s.started, s.count = arrivals, departures, started, count
+            self._next_arrival = arr
+        s.check()
         return Trajectory(
-            n=self.n,
+            n=n,
             horizon=horizon,
             times=np.array(rows["t"]),
             count=np.array(rows["count"], dtype=np.int64),
@@ -429,8 +405,9 @@ class Simulator:
             in_service=np.array(rows["zsrv"], dtype=np.int64),
             started=np.array(rows["started"], dtype=np.int64),
             drained=np.array(rows["drained"]),
+            event_count=arrivals + departures + started - counters_before,
             events=events,
             snapshots=snapshots,
-            records=s.records,
+            records=records if record else {},
             initial_count=s.initial_count,
         )

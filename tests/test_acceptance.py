@@ -111,7 +111,7 @@ def test_criterion_05_simulator_exactness():
 
     # hand trace, n = 1: arrivals every 1, work 0.5, unit rate
     traj = Simulator(1, make_deterministic(0.5), constant_rate(1.0),
-                     arrivals=[1.0, 2.0, 3.0, 4.0]).run(5.0)
+                     arrivals=[1.0, 2.0, 3.0, 4.0]).run(5.0, record=True)
     expected = []
     for k in (1, 2, 3, 4):
         expected += [(float(k), ARRIVAL, k), (float(k), START, k),
@@ -121,7 +121,7 @@ def test_criterion_05_simulator_exactness():
 
     # hand trace, n = 2: third arrival waits for the first departure
     traj2 = Simulator(2, [1.0, 1.0, 1.0], constant_rate(1.0),
-                      arrivals=[0.1, 0.2, 0.3]).run(4.0)
+                      arrivals=[0.1, 0.2, 0.3]).run(4.0, record=True)
     expected2 = [
         (0.1, ARRIVAL, 1), (0.1, START, 1),
         (0.2, ARRIVAL, 2), (0.2, START, 2),

@@ -109,6 +109,22 @@ class TestConvergence:
         assert "simulation only" in summary_to_text(report)
         assert "nan" in report_to_text(report)
 
+    def test_simulation_only_runs_no_simulation(self, scenario_dir, monkeypatch):
+        from fluidq import harness
+        from fluidq.scenario import load_scenario
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("simulation-only rows need no simulation")
+
+        monkeypatch.setattr(harness, "run_scenario_once", no_run)
+        scenario = load_scenario(scenario_dir / "deterministic_service.scn")
+        report = convergence_experiment(scenario, n_list=[10, 5], seeds=[2, 1])
+        assert report.simulation_only
+        assert [(r.n, r.seed) for r in report.rows] == [(5, 1), (5, 2), (10, 1), (10, 2)]
+        for r in report.rows:
+            assert np.isnan([r.count_gap, r.queue_gap, r.starts_gap]).all()
+            assert r.measure_gaps == ()
+
     def test_sampled_initial_scenarios_converge(self, solved):
         # warm starts exercise the inverse-transform initial sampling and
         # the queue-seeded start through the whole gap pipeline
@@ -168,8 +184,9 @@ class TestOscillation:
 class TestRunScenarioOnce:
     def test_deterministic_per_seed(self, solved):
         scenario, _, _ = solved("underloaded_exp")
-        a = run_scenario_once(scenario, 10, 123, grid=np.linspace(0, 5, 51))
-        b = run_scenario_once(scenario, 10, 123, grid=np.linspace(0, 5, 51))
+        a = run_scenario_once(scenario, 10, 123, grid=np.linspace(0, 5, 51), record=True)
+        b = run_scenario_once(scenario, 10, 123, grid=np.linspace(0, 5, 51), record=True)
+        assert a.events
         assert a.events == b.events
         assert np.array_equal(a.count, b.count)
 

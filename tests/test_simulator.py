@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fluidq import harness
+from fluidq.harness import run_scenario_once
 from fluidq.laws import (
     capped_linear_rate,
     constant_rate,
@@ -14,6 +16,7 @@ from fluidq.laws import (
     table_rate,
 )
 from fluidq.measures import AtomicMeasure, TailFunction
+from fluidq.scenario import load_scenario
 from fluidq.simulate import (
     ARRIVAL,
     DEPARTURE,
@@ -24,6 +27,7 @@ from fluidq.simulate import (
 )
 from fluidq.cli import trajectory_to_text
 
+from conftest import SCENARIO_DIR
 from oracles import reference_simulation, shift_tail
 
 
@@ -34,12 +38,12 @@ def events_of(traj, kind):
 class TestInit:
     def test_empty(self):
         st = init(2)
-        assert st.count == 0 and st.queue_length == 0 and st.started == 0
+        assert st.count == 0 and len(st.queue) == 0 and st.started == 0
 
     def test_counts(self):
         st = init(2, residuals=[0.5, 1.5], queue_requirements=[1.0, 1.0, 1.0])
         assert st.count == 5
-        assert st.queue_length == 3
+        assert len(st.queue) == 3
         assert st.started == -3  # index of the last initially in-service customer
 
     def test_idle_server_with_queue_rejected(self):
@@ -60,18 +64,18 @@ class TestHandTraces:
         # arrivals every 1, work 0.5, unit rate: departures at k + 0.5
         sim = Simulator(1, make_deterministic(0.5), constant_rate(1.0),
                         arrivals=[1.0, 2.0, 3.0, 4.0])
-        traj = sim.run(5.0)
+        traj = sim.run(5.0, record=True)
         assert events_of(traj, DEPARTURE) == [(1.5, 1), (2.5, 2), (3.5, 3), (4.5, 4)]
         assert traj.queue.max() == 0
 
     def test_double_speed_drain(self):
         sim = Simulator(1, [1.0], constant_rate(2.0), arrivals=[0.0])
-        traj = sim.run(2.0)
+        traj = sim.run(2.0, record=True)
         assert events_of(traj, DEPARTURE) == [(0.5, 1)]
 
     def test_zero_rate_never_departs(self):
         sim = Simulator(1, [1.0, 1.0], constant_rate(0.0), arrivals=[0.0, 0.6])
-        traj = sim.run(10.0)
+        traj = sim.run(10.0, record=True)
         kinds = [e.kind for e in traj.events]
         assert DEPARTURE not in kinds
         assert kinds == [ARRIVAL, START, ARRIVAL]  # second arrival queues
@@ -79,7 +83,7 @@ class TestHandTraces:
     def test_two_servers_third_waits(self):
         sim = Simulator(2, [1.0, 1.0, 1.0], constant_rate(1.0),
                         arrivals=[0.1, 0.2, 0.3])
-        traj = sim.run(4.0)
+        traj = sim.run(4.0, record=True)
         log = [(e.kind, round(e.time, 12), e.customer) for e in traj.events]
         assert log == [
             (ARRIVAL, 0.1, 1), (START, 0.1, 1),
@@ -93,21 +97,21 @@ class TestHandTraces:
     def test_initial_residual_runs_out(self):
         sim = Simulator(1, make_exponential(1.0), constant_rate(1.0),
                         state=init(1, residuals=[1.0]))
-        traj = sim.run(3.0, grid=np.linspace(0, 3, 7))
+        traj = sim.run(3.0, grid=np.linspace(0, 3, 7), record=True)
         assert events_of(traj, DEPARTURE) == [(1.0, 0)]
         assert traj.count[0] == 1 and traj.count[-1] == 0
 
     def test_no_arrivals_before_horizon(self):
         sim = Simulator(1, make_exponential(1.0), constant_rate(1.0),
                         arrivals=[10.0])
-        traj = sim.run(5.0, grid=np.linspace(0, 5, 11))
+        traj = sim.run(5.0, grid=np.linspace(0, 5, 11), record=True)
         assert traj.events == []
         assert np.all(traj.count == 0)
 
     def test_departures_processed_before_arrivals(self):
         # departure and arrival collide at t = 1: the server frees up first
         sim = Simulator(1, [1.0, 1.0], constant_rate(1.0), arrivals=[0.0, 1.0])
-        traj = sim.run(3.0)
+        traj = sim.run(3.0, record=True)
         log = [(e.kind, e.customer) for e in traj.events if e.time == 1.0]
         assert log == [(DEPARTURE, 1), (ARRIVAL, 2), (START, 2)]
 
@@ -116,7 +120,7 @@ class TestHandTraces:
         # both queued customers are admitted in the same event
         state = init(2, residuals=[0.7, 0.7], queue_requirements=[0.4, 0.9])
         sim = Simulator(2, make_exponential(1.0), constant_rate(1.0), state=state)
-        traj = sim.run(0.8)
+        traj = sim.run(0.8, record=True)
         at_07 = [(e.kind, e.customer) for e in traj.events if e.time == 0.7]
         assert at_07 == [
             (DEPARTURE, -3), (DEPARTURE, -2), (START, -1), (START, 0),
@@ -135,7 +139,7 @@ class TestHandTraces:
         # at t = 2.
         sim = Simulator(1, [1.5, 0.75], capped_linear_rate(0.5, 1.0, 2.0),
                         arrivals=[0.0, 0.5])
-        traj = sim.run(2.0, grid=[0.0, 0.5, 0.875, 1.0, 2.0])
+        traj = sim.run(2.0, grid=[0.0, 0.5, 0.875, 1.0, 2.0], record=True)
         log = [(e.kind, e.time, e.customer) for e in traj.events]
         assert log == [
             (ARRIVAL, 0.0, 1), (START, 0.0, 1),
@@ -187,7 +191,8 @@ class TestStateDependentRate:
               [0.0, 0.25, 1.0, 1.0], [1.0, 0.5, 0.25, 0.5], 6.0))
     def test_matches_reference_simulator(self, run):
         n, rate, arrivals, reqs, horizon = run
-        traj = Simulator(n, reqs, rate, arrivals=arrivals).run(horizon, grid=GRID)
+        traj = Simulator(n, reqs, rate, arrivals=arrivals).run(horizon, grid=GRID,
+                                                               record=True)
         log, rows = reference_simulation(n, arrivals, reqs, rate, horizon, GRID)
         assert [(e.kind, e.customer) for e in traj.events] == [(k, c) for _, k, c in log]
         assert np.allclose([e.time for e in traj.events], [t for t, _, _ in log],
@@ -207,7 +212,7 @@ class TestStateDependentRate:
 
         sim = Simulator(5, make_exponential(1.0), dataclasses.replace(base, fn=counting_fn),
                         arrivals=make_arrivals("exponential", 1.2), seed=3)
-        traj = sim.run(4.0, snapshot_times=[1.0, 2.0])
+        traj = sim.run(4.0, snapshot_times=[1.0, 2.0], record=True)
         x = traj.initial_count
         reached = {x}
         for e in traj.events:
@@ -230,7 +235,7 @@ def busy_run():
         seed=71,
     )
     snaps = np.round(np.arange(0.25, 8.0, 0.25), 3)
-    return sim.run(8.0, grid=np.linspace(0, 8, 161), snapshot_times=snaps)
+    return sim.run(8.0, grid=np.linspace(0, 8, 161), snapshot_times=snaps, record=True)
 
 
 class TestInvariants:
@@ -347,7 +352,8 @@ class TestInvariants:
             seed=71,
         )
         snaps = np.round(np.arange(0.25, 8.0, 0.25), 3)
-        again = sim.run(8.0, grid=np.linspace(0, 8, 161), snapshot_times=snaps)
+        again = sim.run(8.0, grid=np.linspace(0, 8, 161), snapshot_times=snaps,
+                        record=True)
         assert again.events == busy_run.events
         assert np.array_equal(again.count, busy_run.count)
         assert np.array_equal(again.drained, busy_run.drained)
@@ -390,6 +396,121 @@ class TestSampledInitial:
 
     def test_horizon_zero_trajectory(self):
         traj = Simulator(1, make_exponential(1.0), constant_rate(1.0),
-                         arrivals=make_arrivals("exponential", 1.0), seed=3).run(0.0)
+                         arrivals=make_arrivals("exponential", 1.0),
+                         seed=3).run(0.0, record=True)
         assert traj.times.tolist() == [0.0]
         assert traj.events == []
+
+
+def _scenario_run(monkeypatch, name, n, seed, record):
+    """run_scenario_once on a shipped scenario, plus the simulator's final
+    state."""
+    built = []
+
+    class Keeping(Simulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(harness, "Simulator", Keeping)
+    scenario = load_scenario(SCENARIO_DIR / f"{name}.scn")
+    traj = run_scenario_once(scenario, n, seed, scenario.time_grid(),
+                             scenario.snapshot_times, record=record)
+    return traj, built[0].state
+
+
+def _explicit_run(case, record):
+    busy = dict(residuals=[0.3, 0.7, 1.1], queue_requirements=[0.5])
+    if case == "explicit_arrivals":
+        sim = Simulator(2, [1.5, 0.75, 0.5, 1.0, 0.25], capped_linear_rate(0.5, 1.0, 2.0),
+                        arrivals=[0.0, 0.5, 0.5, 1.25, 3.0])
+        traj = sim.run(4.0, snapshot_times=[0.5, 1.0, 3.5], record=record)
+    elif case == "zero_arrivals":
+        sim = Simulator(3, make_exponential(1.0), constant_rate(1.0), state=init(3, **busy))
+        traj = sim.run(3.0, snapshot_times=[0.2, 1.0], record=record)
+    else:  # horizon 0
+        sim = Simulator(3, make_exponential(1.0), constant_rate(1.0), state=init(3, **busy),
+                        arrivals=make_arrivals("exponential", 2.0), seed=5)
+        traj = sim.run(0.0, snapshot_times=[0.0], record=record)
+    return traj, sim.state
+
+
+def _final_counters(state):
+    return (state.clock, state.drained, state.arrivals, state.departures, state.started,
+            state.count, list(state.heap), list(state.queue))
+
+
+class TestRecording:
+    """Recording keeps the event log and the customer records and changes
+    nothing else: paths, snapshots and the final state are the same."""
+
+    def _assert_same_run(self, runs, expect_events=True):
+        (plain, plain_state), (kept, kept_state) = runs
+        for col in ("times", "count", "queue", "in_service", "started", "drained"):
+            assert np.array_equal(getattr(plain, col), getattr(kept, col)), col
+        assert [(sn.time, sn.measure, sn.drained) for sn in plain.snapshots] == \
+            [(sn.time, sn.measure, sn.drained) for sn in kept.snapshots]
+        assert _final_counters(plain_state) == _final_counters(kept_state)
+        assert plain.events == [] and plain.records == {}
+        assert kept.event_count == len(kept.events) == plain.event_count
+        assert bool(kept.events) == expect_events
+
+    @pytest.mark.parametrize("name, n", [("queue_start", 60), ("warm_start", 60),
+                                         ("state_dependent", 200)])
+    def test_scenarios(self, monkeypatch, name, n):
+        self._assert_same_run([_scenario_run(monkeypatch, name, n, 11, record)
+                               for record in (False, True)])
+
+    @pytest.mark.parametrize("case", ["explicit_arrivals", "zero_arrivals", "horizon_zero"])
+    def test_explicit_runs(self, case):
+        self._assert_same_run([_explicit_run(case, record) for record in (False, True)],
+                              expect_events=case != "horizon_zero")
+
+    def test_second_run_resumes(self):
+        # the loop writes its locals back, so two runs end where one does
+        def make():
+            return Simulator(3, make_exponential(1.0), capped_linear_rate(0.5, 1.0, 2.0),
+                             arrivals=make_arrivals("exponential", 2.5), seed=9,
+                             state=init(3, residuals=[0.3, 0.7, 1.1], queue_requirements=[0.5]))
+
+        whole, split = make(), make()
+        one = whole.run(6.0, record=True)
+        first, second = split.run(2.5, record=True), split.run(6.0, record=True)
+        assert first.events and second.events
+        assert first.events + second.events == one.events
+        assert first.event_count + second.event_count == one.event_count
+        assert _final_counters(split.state) == _final_counters(whole.state)
+
+
+class TestInlinedInvariants:
+    """Each corrupted state trips its invariant at the first event, not
+    at the end of the run."""
+
+    def test_count_invariant(self):
+        # count = busy + waiting follows from the queue and busy-server
+        # invariants, so a broken count breaks one of them too; check()
+        # names the count first
+        state = init(2, residuals=[0.5, 1.0])
+        state.count += 1
+        sim = Simulator(2, [1.0], constant_rate(1.0), arrivals=[2.0], state=state)
+        with pytest.raises(AssertionError, match="count != in service"):
+            sim.run(5.0)
+        assert sim.state.clock == 0.5 and sim.state.departures == 1
+
+    def test_start_counter_invariant(self):
+        state = init(2, residuals=[0.5, 1.0])
+        state.arrivals = 1
+        sim = Simulator(2, make_exponential(1.0), constant_rate(1.0), state=state)
+        with pytest.raises(AssertionError, match="start counter out of sync"):
+            sim.run(5.0)
+        assert sim.state.clock == 0.5 and sim.state.departures == 1
+
+    def test_negative_residual_invariant(self):
+        # with rate 0 nothing departs, so the drain offset pushed past the
+        # first finish offset stays there
+        state = init(2, residuals=[0.5])
+        state.drained = 1.0
+        sim = Simulator(2, [1.0, 1.0], constant_rate(0.0), arrivals=[0.1, 0.2], state=state)
+        with pytest.raises(AssertionError, match="negative residual work"):
+            sim.run(5.0)
+        assert sim.state.clock == 0.1 and sim.state.arrivals == 1
