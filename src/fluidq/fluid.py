@@ -431,7 +431,6 @@ def _drain_lattice(params: FluidParams, x_grid: np.ndarray):
 
 def tail_on_grid(
     params: FluidParams,
-    count: np.ndarray,
     drained: np.ndarray,
     started: np.ndarray,
     t_index,
@@ -518,7 +517,7 @@ def solve(params: FluidParams, x_grid=None) -> FluidSolution:
     idx = np.arange(0, params.steps + 1, stride)
     if idx[-1] != params.steps:
         idx = np.append(idx, params.steps)
-    surface = tail_on_grid(params, count, drained, started, idx, x_grid)
+    surface = tail_on_grid(params, drained, started, idx, x_grid)
 
     # identity checks on the assembled solution
     if np.min(surface) < -1e-9:

@@ -159,9 +159,7 @@ def convergence_experiment(
     if not simulation_only:
         x_grid = scenario.x_grid()
         idx = [fluid_mod._grid_index(solution.times, t) for t in snapshot_times]
-        rows = fluid_mod.tail_on_grid(
-            params, solution.count, solution.drained, solution.started, idx, x_grid
-        )
+        rows = fluid_mod.tail_on_grid(params, solution.drained, solution.started, idx, x_grid)
         for t, z in zip(snapshot_times, rows):
             fluid_measures[t] = discretize_fluid_measure(z, x_grid)
 

@@ -64,6 +64,8 @@ class SimState:
     which always equals arrivals - queue length (initial customers carry
     indices <= 0).  ``records`` holds the initial customers' records from
     ``init``; a run adds to and updates it only when it records.
+    ``unrecorded_events`` counts the events of runs that did not record,
+    which left no trace in ``records``.
     """
 
     n: int
@@ -77,6 +79,7 @@ class SimState:
     count: int = 0
     initial_count: int = 0
     records: dict = field(default_factory=dict)
+    unrecorded_events: int = 0
 
     def check(self):
         busy = len(self.heap)
@@ -275,7 +278,9 @@ class Simulator:
         ``snapshot_times``; a point at time t sees the state before any
         event at t.  The points from the first one past the horizon on are
         dropped.  The event log and the customer records are kept only
-        with ``record``.
+        with ``record``.  A state that has run events without ``record``
+        refuses it from then on, since those events left no records to
+        update.
 
         The loop keeps the state's scalars in locals and writes them back
         when it stops.  After every event it tests the five invariants of
@@ -284,11 +289,16 @@ class Simulator:
         """
         if horizon < 0:
             raise ValueError("horizon must be >= 0")
+        s = self.state
+        if record and s.unrecorded_events:
+            raise ValueError(
+                f"cannot record: an earlier run on this state processed {s.unrecorded_events} "
+                "events without record=True, so their customers have no CustomerRecord"
+            )
         if grid is None:
             grid = np.linspace(0.0, horizon, 101) if horizon > 0 else np.array([0.0])
         grid = _upto(np.asarray(grid, dtype=float).tolist(), horizon)
         snaps_at = _upto(sorted(float(t) for t in snapshot_times), horizon)
-        s = self.state
         n = self.n
         heap, queue, records = s.heap, s.queue, s.records
         clock, drained = s.clock, s.drained
@@ -394,6 +404,8 @@ class Simulator:
         finally:
             s.clock, s.drained = clock, drained
             s.arrivals, s.departures, s.started, s.count = arrivals, departures, started, count
+            if not record:
+                s.unrecorded_events += arrivals + departures + started - counters_before
             self._next_arrival = arr
         s.check()
         return Trajectory(

@@ -278,7 +278,7 @@ class TestTailSurface:
         p = params_for(0.3, horizon=2.0, initial_tail=tail0)
         sol = fm.solve(p)
         xs = np.array([0.0, 0.4, 1.3, 5.0])
-        z = fm.tail_on_grid(p, sol.count, sol.drained, sol.started, 0, xs)
+        z = fm.tail_on_grid(p, sol.drained, sol.started, 0, xs)
         assert np.max(np.abs(z - tail0(xs))) <= 1e-12
 
     def test_underloaded_product_form(self, underloaded):
@@ -288,7 +288,7 @@ class TestTailSurface:
         xs = np.arange(0.0, 5.0001, 0.1)
         worst = 0.0
         for i in range(0, x.size, 500):
-            z = fm.tail_on_grid(p, x, drained, started, i, xs)
+            z = fm.tail_on_grid(p, drained, started, i, xs)
             worst = max(worst, float(np.max(np.abs(z - np.exp(-xs) * x[i]))))
         assert worst <= 5e-4
 
@@ -323,7 +323,7 @@ class TestTailSurface:
         xs = 0.25 * np.arange(13)
         assert (fm._drain_lattice(p, xs) is not None) == lattice
         for i in (1, 377, p.steps):
-            z = fm.tail_on_grid(p, x, drained, started, i, xs)
+            z = fm.tail_on_grid(p, drained, started, i, xs)
             oracle = tail_midpoint_sum(xs.tolist(), drained.tolist(), started.tolist(), i,
                                        p.initial_tail, p.service.tail)
             assert np.max(np.abs(z - np.array(oracle))) <= bound
@@ -342,10 +342,10 @@ class TestTailSurface:
         xs = 0.25 * np.arange(13)
         assert fm._drain_lattice(p, xs) is not None
         idx = [0, 1, 377, p.steps]
-        rows = fm.tail_on_grid(p, x, drained, started, idx, xs)
+        rows = fm.tail_on_grid(p, drained, started, idx, xs)
         assert rows.shape == (len(idx), xs.size)
         for row, i in zip(rows, idx):
-            assert row.tolist() == fm.tail_on_grid(p, x, drained, started, i, xs).tolist()
+            assert row.tolist() == fm.tail_on_grid(p, drained, started, i, xs).tolist()
 
     def test_off_grid_time_rejected(self, underloaded):
         p, _, _ = underloaded

@@ -16,7 +16,7 @@ from fluidq.measures import prohorov
 def _fluid_measure(params, sol, t, x_grid):
     """The fluid measure at time t, by the route convergence_experiment takes."""
     i = fm._grid_index(sol.times, t)
-    z = fm.tail_on_grid(params, sol.count, sol.drained, sol.started, i, x_grid)
+    z = fm.tail_on_grid(params, sol.drained, sol.started, i, x_grid)
     return discretize_fluid_measure(z, x_grid)
 
 
@@ -42,7 +42,7 @@ class TestDiscretize:
         scenario, params, sol = solved("underloaded_exp")
         m = _fluid_measure(params, sol, 2.5, scenario.x_grid())
         i = fm._grid_index(sol.times, 2.5)
-        z0 = float(fm.tail_on_grid(params, sol.count, sol.drained, sol.started, i,
+        z0 = float(fm.tail_on_grid(params, sol.drained, sol.started, i,
                                    np.array([0.0]))[0])
         assert m.total_mass == pytest.approx(z0, abs=1e-12)
 

@@ -481,6 +481,25 @@ class TestRecording:
         assert first.event_count + second.event_count == one.event_count
         assert _final_counters(split.state) == _final_counters(whole.state)
 
+    def test_record_after_unrecorded_run_refused(self):
+        # the customers of the unrecorded run have no records to update, so
+        # the recorded run refuses before its first event
+        sim = Simulator(3, make_exponential(1.0), constant_rate(1.0),
+                        arrivals=make_arrivals("exponential", 2.0), seed=1)
+        assert sim.run(2.0).event_count > 0
+        before = _final_counters(sim.state)
+        with pytest.raises(ValueError, match="without record=True.*no CustomerRecord"):
+            sim.run(4.0, record=True)
+        assert _final_counters(sim.state) == before
+        assert sim.run(4.0).event_count > 0
+
+    def test_record_after_eventless_run_allowed(self):
+        sim = Simulator(3, [0.5, 0.5], constant_rate(1.0), arrivals=[1.0, 1.5])
+        assert sim.run(0.5).event_count == 0
+        traj = sim.run(3.0, record=True)
+        assert traj.event_count == len(traj.events) == 6
+        assert sorted(traj.records) == [1, 2]
+
 
 class TestInlinedInvariants:
     """Each corrupted state trips its invariant at the first event, not
