@@ -29,7 +29,12 @@ accepts a path only when fixed_point_defect is within DEFECT_TOL_FACTOR *
 (1 + sup|X|).  The drain march solves another quadrature of the same
 equation, O(dt^2) away; where that gap exceeds the tolerance, ``solve``
 marches in time instead.  One function, _history, evaluates the
-time-grid trapezoid history sum for both the time march and the defect.
+time-grid trapezoid right-hand side for both the time march and the
+defect, with one law pass (``ServiceLaw.tail_and_pdf``) giving Gc and g on
+each pair matrix K_i - K_j.  The defect needs O(N^2) such evaluations; it
+takes the rows DEFECT_BLOCK_ROWS at a time and splits each block's rows
+across one thread per CPU, which bounds its memory whatever the CPU count
+and leaves every row's float as a serial call computes it.
 
 The tail surface z(t, x) of the limiting residual-work measure is a
 midpoint Stieltjes sum of Gc against the cumulative service-start path
@@ -42,7 +47,10 @@ stored rows and the harness's snapshot measures alike.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +64,7 @@ DEFECT_TOL_FACTOR = 1e-6   # accepted defect: factor * (1 + sup|X|)
 PICARD_TOL_FACTOR = 1e-9   # a node's iteration stops at this * (1 + |X|)
 MAX_PICARD_ITERATIONS = 80
 MAX_NODES_PER_STEP = 16    # drain march only while k_sup/k_min is at most this
+DEFECT_BLOCK_ROWS = 256    # rows of the pair matrix in memory at once in the defect
 
 
 def time_grid(horizon: float, dt: float) -> np.ndarray:
@@ -163,21 +172,18 @@ class FluidSolution:
 
 
 def _ingredients(params: FluidParams):
+    """(h1, drain coefficient, lam, the law's (Gc, g) pass)."""
     tail_f = params.initial_tail
     svc = params.service
-    lam = params.arrival_rate
     q0 = params.initial_queue
 
     def h1(y):
         return tail_f(y) + q0 * svc.tail(y)
 
-    def h2(y):
-        return lam * svc.tail(y)
-
     def drain_coeff(x):
         return np.maximum(x - 1.0, 0.0) * params.rate(x)
 
-    return h1, h2, drain_coeff, svc.pdf
+    return h1, drain_coeff, params.arrival_rate, svc.tail_and_pdf
 
 
 def march_kind(rate: RateFunction) -> str:
@@ -215,35 +221,62 @@ def queue_and_starts(count: np.ndarray, arrival_rate: float, times: np.ndarray):
     return queue, started
 
 
-def _trapezoid_weights(i0: int, i1: int, dt: float) -> np.ndarray:
-    """Rows are grid indices i0+1..i1; column j carries the trapezoid
-    weight of node j in the integral from 0 to t_i (zero beyond j = i)."""
-    rows = np.arange(i0 + 1, i1 + 1)
-    cols = np.arange(i1 + 1)
-    w = np.where(cols[None, :] <= rows[:, None], dt, 0.0)
-    w[:, 0] = 0.5 * dt
-    w[np.arange(rows.size), rows] = 0.5 * dt
-    return w
+def _weigh(a: np.ndarray, i0: int, last: np.ndarray, dt: float):
+    """Multiply, in place, rows of the pair matrix over columns 0..i1 by
+    the trapezoid weights of the integral from 0 to t_i: 0.5*dt at column
+    0, dt up to column i0, and ``last`` on the square of columns
+    i0+1..i1 (dt below the diagonal, 0.5*dt on it, 0 above)."""
+    a[:, 0] *= 0.5 * dt
+    a[:, 1 : i0 + 1] *= dt
+    a[:, i0 + 1 :] *= last
 
 
-def _history(ingredients, drain: np.ndarray, i0: int, i1: int, dt: float):
-    """Trapezoid history sum of the count equation on rows i0+1..i1.
+def _history(ingredients, drain: np.ndarray, coeff: np.ndarray, i0: int, i1: int, dt: float,
+             pool: ThreadPoolExecutor | None = None, parts: int = 1) -> np.ndarray:
+    """Right-hand side of the count equation on rows i0+1..i1 by the
+    time-grid trapezoid rule.  With K = ``drain``, trapezoid weights w and
+    coeff the drain coefficient (X - 1)^+ k(X) along the path,
 
-    The right-hand side at those rows is ``fixed + gw @ coeff[: i1 + 1]``,
-    with coeff the drain coefficient (X - 1)^+ k(X) along the path and,
-    for K = ``drain`` and trapezoid weights w,
+        rhs[i] = h1(K_i) + sum_j w_ij lam Gc(K_i - K_j)
+                 + sum_j w_ij g(K_i - K_j) coeff_j,
 
-        fixed[i] = h1(K_i) + sum_j w_ij h2(K_i - K_j),
-        gw[i, j] = g(K_i - K_j) w_ij.
-
-    Both depend on the path only through K.  Returns (fixed, gw).
+    the last sum a matrix-vector product over the block.  Gc and g come
+    from one law pass over each pair matrix K_i - K_j.  With ``pool``, the
+    pair matrices, law passes and Gc sums of ``parts`` row ranges run on
+    its threads; the matrix-vector product, whose summation order follows
+    the matrix's shape, stays one call over the whole block, so every
+    row's float is the one a serial call gives.
     """
-    h1, h2, _, g = ingredients
+    h1, _, lam, law = ingredients
     now = drain[i0 + 1 : i1 + 1]
-    d = now[:, None] - drain[None, : i1 + 1]
-    np.maximum(d, 0.0, out=d)
-    w = _trapezoid_weights(i0, i1, dt)
-    return h1(now) + (h2(d) * w).sum(axis=1), g(d) * w
+    rows = now.size
+    q = np.arange(rows)
+    last = np.where(q[None, :] < q[:, None], dt, 0.0)
+    np.fill_diagonal(last, 0.5 * dt)
+    tail_sums = np.empty(rows)
+    gw = np.empty((rows, i1 + 1))
+
+    def fill(r0: int, r1: int):
+        d = now[r0:r1, None] - drain[None, : i1 + 1]
+        np.maximum(d, 0.0, out=d)
+        h2, g = law(d)
+        del d
+        h2 *= lam
+        _weigh(h2, i0, last[r0:r1], dt)
+        tail_sums[r0:r1] = h2.sum(axis=1)
+        del h2
+        _weigh(g, i0, last[r0:r1], dt)
+        gw[r0:r1] = g
+
+    if pool is None:
+        fill(0, rows)
+    else:
+        step = -(-rows // parts)
+        futures = [pool.submit(contextvars.copy_context().run, fill, r0, min(r0 + step, rows))
+                   for r0 in range(0, rows, step)]
+        for f in futures:
+            f.result()
+    return h1(now) + tail_sums + gw @ coeff[: i1 + 1]
 
 
 def solve_count_path(params: FluidParams, start: str = "constant", march: str | None = None):
@@ -312,11 +345,12 @@ def _drain_march(params: FluidParams, start: str, diag: SolveDiagnostics) -> np.
     lam = params.arrival_rate
     du = diag.du
     nodes = int(math.ceil(params.steps * rate.bound / rate.floor)) + 2
-    h1, _, _, g = _ingredients(params)
+    h1 = _ingredients(params)[0]
     u = du * np.arange(nodes + 1)
     h1_u = h1(u)
-    gc_rev = np.ascontiguousarray(params.service.tail(u)[::-1])  # gc_rev[nodes - p] = Gc(p du)
-    g_rev = np.ascontiguousarray(g(u)[::-1])
+    gc_u, g_u = params.service.tail_and_pdf(u)
+    gc_rev = np.ascontiguousarray(gc_u[::-1])  # gc_rev[nodes - p] = Gc(p du)
+    g_rev = np.ascontiguousarray(g_u[::-1])
     lag0_arrivals = 0.5 * du * lam * gc_rev[nodes]
     lag0_drain = 0.5 * du * g_rev[nodes]
     x = np.empty(nodes + 1)
@@ -359,7 +393,7 @@ def _time_march(params: FluidParams, start: str, x: np.ndarray, diag: SolveDiagn
     times = params.times
     rate = params.rate
     ingredients = _ingredients(params)
-    h1, _, drain_coeff, _ = ingredients
+    h1, drain_coeff = ingredients[:2]
     k_all = np.asarray(rate(x), dtype=float)  # rewritten as steps solve
     drain = np.zeros(x.size)
     coeff = drain_coeff(x)
@@ -372,8 +406,7 @@ def _time_march(params: FluidParams, start: str, x: np.ndarray, diag: SolveDiagn
 
     def update(v, i):
         follow(v, i)
-        fixed, gw = _history(ingredients, drain, i - 1, i, dt)
-        return float(fixed[0] + gw[0] @ coeff[: i + 1])
+        return float(_history(ingredients, drain, coeff, i - 1, i, dt)[0])
 
     for i in range(1, x.size):
         if start == "constant":
@@ -387,28 +420,39 @@ def _time_march(params: FluidParams, start: str, x: np.ndarray, diag: SolveDiagn
         diag.windows.append(it)
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def fixed_point_defect(params: FluidParams, count: np.ndarray) -> float:
     """Sup-norm defect of a grid path in the count equation, with the
     time-grid trapezoid quadrature of the time march.  A solution must
     pass DEFECT_TOL_FACTOR * (1 + sup|X|); a visibly perturbed path must
-    not."""
+    not.
+
+    The rows are taken DEFECT_BLOCK_ROWS at a time, one ``_history`` call
+    each, with the block's rows split across one thread per CPU (numpy's
+    and scipy's loops release the GIL).  The block size does not depend on
+    the CPU count, so neither do the floats nor the peak memory."""
     count = np.asarray(count, dtype=float)
     n = count.size - 1
     if n != params.steps:
         raise ValueError("path length does not match the parameter grid")
     dt = params.dt_effective
     ingredients = _ingredients(params)
-    h1, _, drain_coeff, _ = ingredients
+    h1, drain_coeff = ingredients[:2]
     drain = cumulative_drain(count, params.rate, dt)
     coeff = drain_coeff(count)
     worst = abs(count[0] - float(h1(np.zeros(1))[0]))
-    block = 256
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
-        fixed, gw = _history(ingredients, drain, i0, i1, dt)
-        rhs = fixed + gw @ coeff[: i1 + 1]
-        del gw  # release this block's kernel before the next one is built
-        worst = max(worst, float(np.max(np.abs(count[i0 + 1 : i1 + 1] - rhs))))
+    workers = min(_cpus(), DEFECT_BLOCK_ROWS)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for i0 in range(0, n, DEFECT_BLOCK_ROWS):
+            i1 = min(i0 + DEFECT_BLOCK_ROWS, n)
+            rhs = _history(ingredients, drain, coeff, i0, i1, dt, pool, workers)
+            worst = max(worst, float(np.max(np.abs(count[i0 + 1 : i1 + 1] - rhs))))
     return worst
 
 

@@ -40,10 +40,18 @@ class ServiceLaw:
     mean: float
     _sampler: Callable = field(repr=False)
     atom: Optional[float] = None  # location of the point mass, if any
+    _tail_and_pdf: Optional[Callable] = field(repr=False, default=None)
 
     def tail(self, x):
         """P(v > x); equals 1 - cdf pointwise."""
         return 1.0 - self.cdf(x)
+
+    def tail_and_pdf(self, x):
+        """``(tail(x), pdf(x))``, the same floats as the two calls; a law
+        with a shared first step (the lognormal's log) takes it once."""
+        if self._tail_and_pdf is not None:
+            return self._tail_and_pdf(x)
+        return self.tail(x), self.pdf(x)
 
     @property
     def has_lipschitz_density(self) -> bool:
@@ -126,6 +134,34 @@ def make_lognormal(mu: float, sigma: float) -> ServiceLaw:
         out[pos] = ndtr((np.log(x[pos]) - mu) / sigma)
         return out if out.ndim else float(out)
 
+    def tail_and_pdf(x):
+        # cdf and _lognormal_pdf take the log of the elements with x > 0
+        # only.  Here all of them go through one log and one z, with the
+        # same operations in the same order; the elements with x <= 0 or
+        # NaN are set afterwards, and only they may trip the log or divide
+        # by zero, so the caller's errstate still sees the rest.
+        shape = np.shape(x)
+        x = np.ascontiguousarray(x, dtype=float)
+        off = ~(x > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.log(x)
+        z -= mu
+        z /= sigma
+        tail = ndtr(z)
+        np.subtract(1.0, tail, out=tail)
+        pdf = np.multiply(-0.5, z)
+        pdf *= z
+        np.exp(pdf, out=pdf)
+        den = np.multiply(x, sigma, out=z)
+        den *= math.sqrt(2.0 * math.pi)
+        den[off] = 1.0
+        pdf /= den
+        tail[off] = 1.0
+        pdf[off] = 0.0
+        if shape == ():
+            return float(tail[0]), float(pdf[0])
+        return tail.reshape(shape), pdf.reshape(shape)
+
     mode = math.exp(mu - sigma * sigma)
     return ServiceLaw(
         kind="lognormal",
@@ -136,6 +172,7 @@ def make_lognormal(mu: float, sigma: float) -> ServiceLaw:
         density_lipschitz=_lognormal_lipschitz(mu, sigma),
         mean=math.exp(mu + 0.5 * sigma * sigma),
         _sampler=lambda rng, size: rng.lognormal(mu, sigma, size),
+        _tail_and_pdf=tail_and_pdf,
     )
 
 
@@ -239,15 +276,24 @@ class RateFunction:
     """Bounded Lipschitz per-server work rate as a function of the scaled
     customer count.  ``bound``, the supremum of k, and ``floor``, its
     infimum over x >= 0, are exact, not estimated: the fluid solver marches
-    in drain time when the floor is positive."""
+    in drain time when the floor is positive.
+
+    ``fn`` maps an array of counts clipped at 0 and ``scalar`` one clipped
+    count, a float, to the same floats: the drain march and the
+    simulator's rate table ask for one count at a time."""
 
     kind: str
     params: dict
     fn: Callable = field(repr=False)
     bound: float
     floor: float
+    scalar: Callable = field(repr=False)
 
     def __call__(self, x):
+        """k(max(x, 0)); a float for a float, an array otherwise."""
+        if isinstance(x, float):
+            # np.maximum's clip: NaN stays NaN, -0.0 becomes 0.0
+            return self.scalar(0.0 if x <= 0.0 else float(x))
         return self.fn(np.maximum(np.asarray(x, dtype=float), 0.0))
 
 
@@ -260,6 +306,7 @@ def constant_rate(value: float) -> RateFunction:
         fn=lambda x: np.full_like(np.asarray(x, dtype=float), value),
         bound=value,
         floor=value,
+        scalar=lambda x: float(value),
     )
 
 
@@ -273,6 +320,7 @@ def capped_linear_rate(base: float, slope: float, cap: float) -> RateFunction:
         fn=lambda x: np.minimum(base + slope * np.asarray(x, dtype=float), cap),
         bound=cap if slope > 0 else min(base, cap),
         floor=min(base, cap),
+        scalar=lambda x: float(min(base + slope * x, cap)),
     )
 
 
@@ -297,6 +345,7 @@ def table_rate(xs, ks) -> RateFunction:
         fn=lambda x: np.interp(np.asarray(x, dtype=float), xs, ks),
         bound=float(np.max(ks)),
         floor=float(min(np.interp(0.0, xs, ks), np.min(ks[xs >= 0.0], initial=np.inf))),
+        scalar=lambda x: float(np.interp(x, xs, ks)),
     )
 
 

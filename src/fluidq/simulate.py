@@ -62,8 +62,9 @@ class SimState:
     service, ordered by when the cumulative drain will reach them.
     ``started`` is the index of the last customer to have entered service,
     which always equals arrivals - queue length (initial customers carry
-    indices <= 0).  ``records`` holds the initial customers' records from
-    ``init``; a run adds to and updates it only when it records.
+    indices <= 0).  ``records`` stays empty until the first run that
+    records, which enters the customers present at time 0 from ``heap``
+    and ``queue``; a run adds to and updates it only when it records.
     ``unrecorded_events`` counts the events of runs that did not record,
     which left no trace in ``records``.
     """
@@ -120,16 +121,26 @@ def init(n: int, residuals: Sequence[float] = (), queue_requirements: Sequence[f
     idx = -x0 + 1
     for v in residuals:
         heappush(state.heap, (v, idx))
-        state.records[idx] = CustomerRecord(
-            requirement=v, arrival_time=None, start_time=0.0, start_drained=0.0
-        )
         idx += 1
     for v in queue_requirements:
         state.queue.append((idx, v))
-        state.records[idx] = CustomerRecord(requirement=v, arrival_time=None)
         idx += 1
     state.check()
     return state
+
+
+def _initial_records(state: SimState) -> dict:
+    """Records of the customers present at time 0, in index order, read
+    off a state that no event has touched: each heap key is then the
+    customer's requirement."""
+    records = {}
+    for v, idx in sorted(state.heap, key=lambda entry: entry[1]):
+        records[idx] = CustomerRecord(
+            requirement=v, arrival_time=None, start_time=0.0, start_drained=0.0
+        )
+    for idx, v in state.queue:
+        records[idx] = CustomerRecord(requirement=v, arrival_time=None)
+    return records
 
 
 def sample_initial(
@@ -295,6 +306,11 @@ class Simulator:
                 f"cannot record: an earlier run on this state processed {s.unrecorded_events} "
                 "events without record=True, so their customers have no CustomerRecord"
             )
+        if record and not s.records:
+            # no earlier run ran an event: an unrecorded one was refused
+            # above and a recorded one left records, so heap and queue are
+            # as init left them
+            s.records = _initial_records(s)
         if grid is None:
             grid = np.linspace(0.0, horizon, 101) if horizon > 0 else np.array([0.0])
         grid = _upto(np.asarray(grid, dtype=float).tolist(), horizon)

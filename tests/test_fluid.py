@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -421,6 +422,58 @@ class TestDefect:
         expected = float(np.max(np.abs(x - np.array(rhs))))
         assert expected > 1e-2
         assert abs(fm.fixed_point_defect(p, x) - expected) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["state_dependent", "lognormal_time_march"])
+    def test_defect_is_max_over_history_rows(self, case, scenario_dir, monkeypatch):
+        from fluidq.scenario import load_scenario
+
+        if case == "state_dependent":
+            sc = load_scenario(scenario_dir / "state_dependent.scn")
+            p = dataclasses.replace(sc, dt=1e-2).fluid_params()
+        else:
+            p = params_for(1.2, horizon=2.0, dt=5e-3, service=make_lognormal(0.0, 0.5),
+                           rate=table_rate([0.0, 0.5, 2.0], [0.0, 1.0, 2.0]))
+        x, diag = fm.solve_count_path(p)
+        assert diag.march == ("drain" if case == "state_dependent" else "time")
+        x = x + 1e-4 * np.sin(7.0 * p.times)
+        n, dt = p.steps, p.dt_effective
+        ing = fm._ingredients(p)
+        drain = fm.cumulative_drain(x, p.rate, dt)
+        coeff = ing[1](x)
+        head = abs(x[0] - float(ing[0](np.zeros(1))[0]))
+        blocks = [(i0, min(i0 + fm.DEFECT_BLOCK_ROWS, n)) for i0 in range(0, n, fm.DEFECT_BLOCK_ROWS)]
+        assert len(blocks) >= 2
+        rows = np.concatenate([fm._history(ing, drain, coeff, i0, i1, dt) for i0, i1 in blocks])
+        # the threads split each block's rows; every row is the serial float
+        with fm.ThreadPoolExecutor(max_workers=3) as pool:
+            split = np.concatenate([fm._history(ing, drain, coeff, i0, i1, dt, pool, 3)
+                                    for i0, i1 in blocks])
+        assert np.array_equal(split, rows)
+        defect = max(head, float(np.max(np.abs(x[1:] - rows))))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often: a lost row write would show
+        try:
+            for cpus in (1, 2, 5):
+                monkeypatch.setattr(fm, "_cpus", lambda: cpus)
+                assert fm.fixed_point_defect(p, x) == defect
+        finally:
+            sys.setswitchinterval(interval)
+        # one call over all rows sums in another order (the matrix-vector
+        # product follows the matrix's shape), so rows agree to rounding
+        whole = fm._history(ing, drain, coeff, 0, n, dt)
+        assert np.max(np.abs(whole - rows)) <= 1e-14
+        assert abs(max(head, float(np.max(np.abs(x[1:] - whole)))) - defect) <= 1e-14
+
+    def test_defect_threads_keep_the_callers_errstate(self):
+        # the row sums overflow inside the pool's threads; the caller's
+        # errstate must reach them, as it does in cli.main
+        p = params_for(1e308, horizon=3.0, dt=1e-2, service=make_exponential(0.01))
+        x = np.zeros(p.steps + 1)
+        with np.errstate(over="ignore"):
+            assert fm.fixed_point_defect(p, x) == math.inf
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                fm.fixed_point_defect(p, x)
 
     def test_zero_path_zero_defect(self):
         p = params_for(0.0)

@@ -151,7 +151,61 @@ class TestArrivalLaws:
             make_arrivals("weibull", 1.0)
 
 
+def same_floats(got, want) -> bool:
+    """Equal bit for bit, as the same type and shape: signs of zero and
+    NaNs included."""
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes())
+
+
+class TestTailAndPdf:
+    """``tail_and_pdf`` gives the floats of ``tail`` and ``pdf``, whether
+    the law fuses the two passes (lognormal) or not."""
+
+    @pytest.mark.parametrize("law", [
+        make_exponential(1.0), make_exponential(50.0), make_lognormal(0.0, 0.5),
+        make_lognormal(-1.3, 2.1), make_lognormal(2.0, 0.05), make_uniform(0.5, 2.0),
+    ], ids=["exponential", "exponential_fast", "lognormal", "lognormal_wide", "lognormal_narrow",
+            "uniform"])
+    def test_bit_equal_to_tail_and_pdf(self, law):
+        rng = np.random.default_rng(11)
+        special = [-3.0, -1e-300, -0.0, 0.0, 1e-300, 1e-12, 1.0, 1e3, 1e300, np.inf, np.nan]
+        x = np.concatenate([special, rng.uniform(-1.0, 12.0, 1000 - len(special))])
+        grid = x.reshape(40, 25)
+        for arg in (x, grid, grid.T, grid[::3, 1:], -2.0, 0.0, 1e-300, 0.7, 1e300):
+            tail, pdf = law.tail_and_pdf(arg)
+            assert same_floats(tail, law.tail(arg)), arg
+            assert same_floats(pdf, law.pdf(arg)), arg
+
+    def test_fused_pass_keeps_the_callers_errstate(self):
+        # only the elements at x <= 0 are excused: an overflow at x > 0
+        # raises as it does in pdf
+        law = make_lognormal(0.0, 10.0)
+        x = np.array([0.0, -1.0, 1e308])  # x * sigma overflows in the density
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                law.pdf(x)
+            with pytest.raises(FloatingPointError):
+                law.tail_and_pdf(x)
+            tail, pdf = law.tail_and_pdf(x[:2])
+        assert tail.tolist() == [1.0, 1.0] and pdf.tolist() == [0.0, 0.0]
+
+
 class TestRateFunctions:
+    @pytest.mark.parametrize("k", [
+        constant_rate(1.5), capped_linear_rate(0.5, 1.0, 2.0), capped_linear_rate(0, 2, 3),
+        table_rate([-1.0, 1.0, 3.0], [0.5, 2.0, 1.0]),
+    ], ids=["constant", "capped_linear", "capped_linear_int_params", "table"])
+    def test_float_path_matches_array_path(self, k):
+        # below, at and above the cap (1.5 and 7.0 for capped_linear), at
+        # the knots, negative counts, both zeros, inf and NaN
+        xs = [-2.0, -1e-300, -0.0, 0.0, 1e-300, 0.5, 1.0, 1.5, 3.0, 7.0, 1e300, math.inf, math.nan]
+        for x in xs + [np.float64(x) for x in xs]:
+            got = k(x)
+            assert type(got) is float
+            assert same_floats(np.float64(got), k(np.array([x]))[0]), x
+        assert math.isnan(k(math.nan)) == (k.kind != "constant")  # NaN propagates
+
     def test_constant(self):
         k = constant_rate(1.5)
         assert float(k(0.0)) == 1.5

@@ -21,6 +21,7 @@ from fluidq.simulate import (
     ARRIVAL,
     DEPARTURE,
     START,
+    CustomerRecord,
     Simulator,
     init,
     sample_initial,
@@ -492,6 +493,26 @@ class TestRecording:
             sim.run(4.0, record=True)
         assert _final_counters(sim.state) == before
         assert sim.run(4.0).event_count > 0
+
+    def test_initial_records_built_by_first_recorded_run(self):
+        # init keeps no records; the first recorded run enters the
+        # customers present at time 0 in index order, in service first
+        state = init(3, residuals=[0.7, 0.3, 1.1], queue_requirements=[0.5, 0.2])
+        assert state.records == {}
+        sim = Simulator(3, [], constant_rate(1.0), arrivals=[], state=state)
+        assert sim.run(0.1).event_count == 0 and state.records == {}
+        traj = sim.run(0.2, record=True)
+        assert traj.event_count == 0
+        started = dict(arrival_time=None, start_time=0.0, start_drained=0.0)
+        assert list(traj.records.items()) == [
+            (-4, CustomerRecord(0.7, **started)), (-3, CustomerRecord(0.3, **started)),
+            (-2, CustomerRecord(1.1, **started)), (-1, CustomerRecord(0.5, None)),
+            (0, CustomerRecord(0.2, None)),
+        ]
+        traj = sim.run(5.0, record=True)
+        assert traj.records[-3].departure_time == 0.3
+        assert traj.records[0].start_time == traj.records[-4].departure_time == 0.7
+        assert all(rec.departure_time is not None for rec in traj.records.values())
 
     def test_record_after_eventless_run_allowed(self):
         sim = Simulator(3, [0.5, 0.5], constant_rate(1.0), arrivals=[1.0, 1.5])

@@ -24,9 +24,10 @@ this checkout, taking turns.  The JSON written to ``--out`` holds, per probe
 and size, both checkouts' median seconds side by side with their counts,
 the largest differences between their fluid count paths and surfaces,
 ``wc -l src/fluidq/*.py`` of each checkout and the machine.  The script
-exits with status 1 if a Prohorov distance, or a simulator digest or event
-count, differs between repeats or between the checkouts.  OTHER_ROOT must
-have ``Trajectory.event_count``.
+exits with status 1 if a fluid march, defect, node count or iteration
+count, a simulator digest or event count, or a Prohorov distance differs
+between repeats or between the checkouts.  OTHER_ROOT must have
+``Trajectory.event_count``.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ def probe_prohorov(root: Path, dump: Path, n: int) -> dict:
 # and checkouts)
 PROBES = {
     "fluid": (probe_fluid, [("state_dependent", dt) for dt in (2e-3, 1e-3, 5e-4)],
-              "fluid.solve on scenarios/<scenario>.scn at dt, traced by bench/tracer.py", ()),
+              "fluid.solve on scenarios/<scenario>.scn at dt, traced by bench/tracer.py",
+              ("march", "defect", "windows", "picard_iterations")),
     "simulator": (probe_simulator, [(sc, n) for sc in ("state_dependent", "underloaded_exp")
                                     for n in (1000, 10000, 100000)],
                   "harness.run_scenario_once on scenarios/<scenario>.scn at n, with the "
@@ -205,7 +207,8 @@ def main() -> int:
         "repeats": args.repeats,
         "timing": ("median over the repeats, each in a fresh interpreter, base and change "
                    "taking turns"),
-        "identical": ("simulator: event counts and sha256 of the path arrays and snapshot "
+        "identical": ("fluid: march, defect float, node and iteration counts agree; "
+                      "simulator: event counts and sha256 of the path arrays and snapshot "
                       "measures agree; prohorov: the distances are equal floats; over every "
                       "repeat of both checkouts"),
         "probes": probes,
@@ -215,7 +218,7 @@ def main() -> int:
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     if not consistent:
-        print("distances, digests or event counts differ between repeats or checkouts",
+        print("defects, counts, digests or distances differ between repeats or checkouts",
               file=sys.stderr)
         return 1
     return 0
