@@ -436,7 +436,8 @@ def fixed_point_defect(params: FluidParams, count: np.ndarray) -> float:
     The rows are taken DEFECT_BLOCK_ROWS at a time, one ``_history`` call
     each, with the block's rows split across one thread per CPU (numpy's
     and scipy's loops release the GIL).  The block size does not depend on
-    the CPU count, so neither do the floats nor the peak memory."""
+    the CPU count, so neither do the floats nor the peak memory.  A NaN
+    in any row makes the defect NaN, which no tolerance accepts."""
     count = np.asarray(count, dtype=float)
     n = count.size - 1
     if n != params.steps:
@@ -452,8 +453,8 @@ def fixed_point_defect(params: FluidParams, count: np.ndarray) -> float:
         for i0 in range(0, n, DEFECT_BLOCK_ROWS):
             i1 = min(i0 + DEFECT_BLOCK_ROWS, n)
             rhs = _history(ingredients, drain, coeff, i0, i1, dt, pool, workers)
-            worst = max(worst, float(np.max(np.abs(count[i0 + 1 : i1 + 1] - rhs))))
-    return worst
+            worst = np.maximum(worst, np.max(np.abs(count[i0 + 1 : i1 + 1] - rhs)))
+    return float(worst)
 
 
 def defect_tolerance(count: np.ndarray) -> float:

@@ -1,10 +1,11 @@
 """Service, inter-arrival and service-rate primitives.
 
 A :class:`ServiceLaw` bundles exactly the analytic data the fluid equations
-consume (cdf, tail, density with its sup and Lipschitz constant) with a
-seedable sampler for the event-driven simulator.  Constants are supplied in
-closed form by each constructor, never estimated: the fluid solver reads a
-rate's floor and bound to choose its march and drain step, and bounds its
+consume (tail, density with its sup and Lipschitz constant) with a
+seedable sampler for the event-driven simulator.  Each law and each rate
+kind states its formula once, in its constructor.  Constants are supplied
+in closed form by each constructor, never estimated: the fluid solver reads
+a rate's floor and bound to choose its march and drain step, and bounds its
 quadrature slack with the density bound.
 """
 
@@ -22,18 +23,29 @@ class DensityRequiredError(ValueError):
     """Raised when an operation needs a Lipschitz density the law lacks."""
 
 
+def _positive(sampler: Callable, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``sampler(rng, size)``, each value <= 0 drawn again until all are
+    positive: requirements and gaps are strictly positive."""
+    out = sampler(rng, size)
+    while np.any(out <= 0.0):
+        bad = out <= 0.0
+        out[bad] = sampler(rng, int(bad.sum()))
+    return out
+
+
 @dataclass(frozen=True)
 class ServiceLaw:
     """Distribution of a single service requirement on (0, inf).
 
-    ``pdf`` is None for laws without a density; ``density_lipschitz`` is
-    ``inf`` for laws whose density exists but is not Lipschitz.  The fluid
-    solver only accepts laws with ``has_lipschitz_density``.
+    ``tail`` is P(v > x).  ``pdf`` is None for laws without a density;
+    ``density_lipschitz`` is ``inf`` for laws whose density exists but is
+    not Lipschitz.  The fluid solver only accepts laws with
+    ``has_lipschitz_density``.
     """
 
     kind: str
     params: dict
-    cdf: Callable = field(repr=False)
+    tail: Callable = field(repr=False)
     pdf: Optional[Callable] = field(repr=False)
     density_bound: float
     density_lipschitz: float
@@ -41,10 +53,6 @@ class ServiceLaw:
     _sampler: Callable = field(repr=False)
     atom: Optional[float] = None  # location of the point mass, if any
     _tail_and_pdf: Optional[Callable] = field(repr=False, default=None)
-
-    def tail(self, x):
-        """P(v > x); equals 1 - cdf pointwise."""
-        return 1.0 - self.cdf(x)
 
     def tail_and_pdf(self, x):
         """``(tail(x), pdf(x))``, the same floats as the two calls; a law
@@ -77,11 +85,7 @@ class ServiceLaw:
         return np.where(np.asarray(x, dtype=float) < self.atom, 1.0, 0.0)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        out = self._sampler(rng, size)
-        while np.any(out <= 0.0):  # requirements are strictly positive
-            bad = out <= 0.0
-            out[bad] = self._sampler(rng, int(bad.sum()))
-        return out
+        return _positive(self._sampler, rng, size)
 
 
 def make_exponential(rate: float) -> ServiceLaw:
@@ -91,7 +95,7 @@ def make_exponential(rate: float) -> ServiceLaw:
     return ServiceLaw(
         kind="exponential",
         params={"rate": rate},
-        cdf=lambda x: -np.expm1(-rate * np.maximum(x, 0.0)),
+        tail=lambda x: 1.0 - (-np.expm1(-rate * np.maximum(x, 0.0))),
         pdf=lambda x: rate * np.exp(-rate * np.maximum(x, 0.0)),
         density_bound=rate,
         density_lipschitz=rate * rate,
@@ -100,24 +104,14 @@ def make_exponential(rate: float) -> ServiceLaw:
     )
 
 
-def _lognormal_pdf(x, mu, sigma):
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    xp = x[pos]
-    z = (np.log(xp) - mu) / sigma
-    out[pos] = np.exp(-0.5 * z * z) / (xp * sigma * math.sqrt(2.0 * math.pi))
-    return out if out.ndim else float(out)
-
-
-def _lognormal_lipschitz(mu: float, sigma: float) -> float:
+def _lognormal_lipschitz(mu: float, sigma: float, pdf: Callable) -> float:
     # |g'| has closed-form critical points: with u = (log x - mu)/sigma,
     # d/du log|g'| = 0  <=>  (u + 2 sigma)(u + sigma) = 1.
     roots = np.roots([1.0, 3.0 * sigma, 2.0 * sigma * sigma - 1.0])
     sup = 0.0
     for u in roots:
         x = math.exp(mu + sigma * u)
-        dens = _lognormal_pdf(np.array([x]), mu, sigma)[0]
+        dens = pdf(np.array([x]))[0]
         slope = abs(dens / x * (1.0 + u / sigma))
         sup = max(sup, slope)
     return sup
@@ -127,19 +121,12 @@ def make_lognormal(mu: float, sigma: float) -> ServiceLaw:
     if sigma <= 0:
         raise ValueError("sigma must be positive")
 
-    def cdf(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        pos = x > 0.0
-        out[pos] = ndtr((np.log(x[pos]) - mu) / sigma)
-        return out if out.ndim else float(out)
-
-    def tail_and_pdf(x):
-        # cdf and _lognormal_pdf take the log of the elements with x > 0
-        # only.  Here all of them go through one log and one z, with the
-        # same operations in the same order; the elements with x <= 0 or
-        # NaN are set afterwards, and only they may trip the log or divide
-        # by zero, so the caller's errstate still sees the rest.
+    def tail_and_pdf(x, density=True):
+        # All elements go through one log and one z.  The elements with
+        # x <= 0 or NaN are set afterwards, and only they may trip the log
+        # or divide by zero, so the caller's errstate still sees the rest.
+        # Without ``density`` the pair is the tail alone: the density's
+        # denominator x * sigma may overflow where the tail cannot.
         shape = np.shape(x)
         x = np.ascontiguousarray(x, dtype=float)
         off = ~(x > 0.0)
@@ -149,27 +136,31 @@ def make_lognormal(mu: float, sigma: float) -> ServiceLaw:
         z /= sigma
         tail = ndtr(z)
         np.subtract(1.0, tail, out=tail)
-        pdf = np.multiply(-0.5, z)
-        pdf *= z
-        np.exp(pdf, out=pdf)
-        den = np.multiply(x, sigma, out=z)
-        den *= math.sqrt(2.0 * math.pi)
-        den[off] = 1.0
-        pdf /= den
         tail[off] = 1.0
-        pdf[off] = 0.0
+        out = (tail,)
+        if density:
+            pdf = np.multiply(-0.5, z)
+            pdf *= z
+            np.exp(pdf, out=pdf)
+            den = np.multiply(x, sigma, out=z)
+            den *= math.sqrt(2.0 * math.pi)
+            den[off] = 1.0
+            pdf /= den
+            pdf[off] = 0.0
+            out += (pdf,)
         if shape == ():
-            return float(tail[0]), float(pdf[0])
-        return tail.reshape(shape), pdf.reshape(shape)
+            return tuple(float(a[0]) for a in out)
+        return tuple(a.reshape(shape) for a in out)
 
+    pdf = lambda x: tail_and_pdf(x)[1]
     mode = math.exp(mu - sigma * sigma)
     return ServiceLaw(
         kind="lognormal",
         params={"mu": mu, "sigma": sigma},
-        cdf=cdf,
-        pdf=lambda x: _lognormal_pdf(x, mu, sigma),
-        density_bound=_lognormal_pdf(np.array([mode]), mu, sigma)[0],
-        density_lipschitz=_lognormal_lipschitz(mu, sigma),
+        tail=lambda x: tail_and_pdf(x, density=False)[0],
+        pdf=pdf,
+        density_bound=pdf(np.array([mode]))[0],
+        density_lipschitz=_lognormal_lipschitz(mu, sigma, pdf),
         mean=math.exp(mu + 0.5 * sigma * sigma),
         _sampler=lambda rng, size: rng.lognormal(mu, sigma, size),
         _tail_and_pdf=tail_and_pdf,
@@ -183,9 +174,6 @@ def make_uniform(a: float, b: float) -> ServiceLaw:
         raise ValueError("need 0 <= a < b")
     width = b - a
 
-    def cdf(x):
-        return np.clip((np.asarray(x, dtype=float) - a) / width, 0.0, 1.0)
-
     def pdf(x):
         x = np.asarray(x, dtype=float)
         out = np.where((x >= a) & (x <= b), 1.0 / width, 0.0)
@@ -194,7 +182,7 @@ def make_uniform(a: float, b: float) -> ServiceLaw:
     return ServiceLaw(
         kind="uniform",
         params={"a": a, "b": b},
-        cdf=cdf,
+        tail=lambda x: 1.0 - np.clip((np.asarray(x, dtype=float) - a) / width, 0.0, 1.0),
         pdf=pdf,
         density_bound=1.0 / width,
         density_lipschitz=math.inf,
@@ -210,7 +198,7 @@ def make_deterministic(value: float) -> ServiceLaw:
     return ServiceLaw(
         kind="deterministic",
         params={"value": value},
-        cdf=lambda x: np.where(np.asarray(x, dtype=float) >= value, 1.0, 0.0),
+        tail=lambda x: 1.0 - np.where(np.asarray(x, dtype=float) >= value, 1.0, 0.0),
         pdf=None,
         density_bound=math.inf,
         density_lipschitz=math.inf,
@@ -228,6 +216,15 @@ SERVICE_KINDS = {
 }
 
 
+# Gap samplers at unit scale, keyed by arrival kind: (rng, mean, size) ->
+# gaps with the given mean.
+ARRIVAL_KINDS = {
+    "exponential": lambda rng, mean, size: rng.exponential(mean, size),
+    "deterministic": lambda rng, mean, size: np.full(size, mean),
+    "uniform": lambda rng, mean, size: rng.uniform(0.0, 2.0 * mean, size),
+}
+
+
 @dataclass(frozen=True)
 class ArrivalLaw:
     """Renewal inter-arrival law at unit scale: gaps have mean 1/rate.
@@ -239,16 +236,12 @@ class ArrivalLaw:
 
     kind: str
     rate: float
-    _gap_sampler: Optional[Callable] = field(repr=False, default=None)
 
     def sample_gaps(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.rate == 0.0:
             raise ValueError("arrival rate is zero; no gaps to sample")
-        out = self._gap_sampler(rng, size)
-        while np.any(out <= 0.0):
-            bad = out <= 0.0
-            out[bad] = self._gap_sampler(rng, int(bad.sum()))
-        return out
+        gaps, mean = ARRIVAL_KINDS[self.kind], 1.0 / self.rate
+        return _positive(lambda r, k: gaps(r, mean, k), rng, size)
 
 
 def make_arrivals(kind: str, rate: float) -> ArrivalLaw:
@@ -256,19 +249,9 @@ def make_arrivals(kind: str, rate: float) -> ArrivalLaw:
         raise ValueError("arrival rate must be >= 0")
     if rate == 0.0:
         return ArrivalLaw(kind=kind, rate=0.0)
-    mean = 1.0 / rate
-    if kind == "exponential":
-        sampler = lambda rng, size: rng.exponential(mean, size)
-    elif kind == "deterministic":
-        sampler = lambda rng, size: np.full(size, mean)
-    elif kind == "uniform":
-        sampler = lambda rng, size: rng.uniform(0.0, 2.0 * mean, size)
-    else:
+    if kind not in ARRIVAL_KINDS:
         raise ValueError(f"unknown arrival kind '{kind}'")
-    return ArrivalLaw(kind=kind, rate=rate, _gap_sampler=sampler)
-
-
-ARRIVAL_KINDS = ("exponential", "deterministic", "uniform")
+    return ArrivalLaw(kind=kind, rate=rate)
 
 
 @dataclass(frozen=True)
@@ -278,13 +261,12 @@ class RateFunction:
     infimum over x >= 0, are exact, not estimated: the fluid solver marches
     in drain time when the floor is positive.
 
-    ``fn`` maps an array of counts clipped at 0 and ``scalar`` one clipped
-    count, a float, to the same floats: the drain march and the
-    simulator's rate table ask for one count at a time."""
+    ``scalar`` is the kind's one formula: it maps one count, a float
+    already clipped at 0, to a float.  Calling the function clips the
+    count and applies ``scalar`` to each element of an array."""
 
     kind: str
     params: dict
-    fn: Callable = field(repr=False)
     bound: float
     floor: float
     scalar: Callable = field(repr=False)
@@ -294,7 +276,8 @@ class RateFunction:
         if isinstance(x, float):
             # np.maximum's clip: NaN stays NaN, -0.0 becomes 0.0
             return self.scalar(0.0 if x <= 0.0 else float(x))
-        return self.fn(np.maximum(np.asarray(x, dtype=float), 0.0))
+        x = np.maximum(np.asarray(x, dtype=float), 0.0)
+        return np.fromiter(map(self.scalar, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def constant_rate(value: float) -> RateFunction:
@@ -303,7 +286,6 @@ def constant_rate(value: float) -> RateFunction:
     return RateFunction(
         kind="constant",
         params={"value": value},
-        fn=lambda x: np.full_like(np.asarray(x, dtype=float), value),
         bound=value,
         floor=value,
         scalar=lambda x: float(value),
@@ -317,7 +299,6 @@ def capped_linear_rate(base: float, slope: float, cap: float) -> RateFunction:
     return RateFunction(
         kind="capped_linear",
         params={"base": base, "slope": slope, "cap": cap},
-        fn=lambda x: np.minimum(base + slope * np.asarray(x, dtype=float), cap),
         bound=cap if slope > 0 else min(base, cap),
         floor=min(base, cap),
         scalar=lambda x: float(min(base + slope * x, cap)),
@@ -339,13 +320,13 @@ def table_rate(xs, ks) -> RateFunction:
         raise ValueError("table knots must increase strictly")
     if np.min(ks) < 0:
         raise ValueError("table rates must be >= 0")
+    k = lambda x: float(np.interp(x, xs, ks))
     return RateFunction(
         kind="table",
         params={"xs": tuple(xs), "ks": tuple(ks)},
-        fn=lambda x: np.interp(np.asarray(x, dtype=float), xs, ks),
         bound=float(np.max(ks)),
-        floor=float(min(np.interp(0.0, xs, ks), np.min(ks[xs >= 0.0], initial=np.inf))),
-        scalar=lambda x: float(np.interp(x, xs, ks)),
+        floor=min(k(0.0), float(np.min(ks[xs >= 0.0], initial=np.inf))),
+        scalar=k,
     )
 
 

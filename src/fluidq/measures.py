@@ -108,7 +108,7 @@ def _cumulative(m: AtomicMeasure) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(m.weights)))
 
 
-def _excess_at_most(a: AtomicMeasure, b: AtomicMeasure, eps: float, b_cum=None) -> bool:
+def _excess_at_most(a: AtomicMeasure, b: AtomicMeasure, eps: float, b_cum: np.ndarray) -> bool:
     """Whether a(S) - b(S^eps) <= eps for every finite S within supp(a),
     with S^eps the open eps-enlargement.
 
@@ -130,14 +130,12 @@ def _excess_at_most(a: AtomicMeasure, b: AtomicMeasure, eps: float, b_cum=None) 
     or more before it starts.  ``best[j]`` is the largest excess of a set
     whose rightmost run is ``j``, so the pass stops with ``False`` at the
     first ``best[j] > eps``.  The loop runs over Python floats.  ``b_cum``
-    is ``_cumulative(b)``, computed here when not handed in.
+    is ``_cumulative(b)``.
     """
     if len(a) == 0:
         return True
     loc = a.locations
     b_loc = b.locations
-    if b_cum is None:
-        b_cum = _cumulative(b)
 
     # atom x covers the b-atoms k of (x-eps, x+eps), lo <= k < hi; a run
     # starts wherever lo or hi changes

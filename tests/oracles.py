@@ -11,7 +11,12 @@ residual explicitly and drains each one at every event.  ``tail`` and
 ``subset_excess_reference`` is the full subset-excess dynamic program over
 numpy scalars, without an early exit, and ``prohorov_reference`` bisects
 with it; the package's short-circuiting test must reach the same bool at
-every eps, and so the same distance.
+every eps, and so the same distance.  ``service_cdf``, ``service_pdf`` and
+``rate_on_array`` state each service law and rate kind in a second, plain
+numpy form: the lognormal takes its log of the positive elements only, and
+each rate kind maps a whole array at once.  They use the same operations in
+the same order as the package's one formula, so the two must agree bit for
+bit.
 """
 
 import itertools
@@ -19,6 +24,7 @@ import math
 from collections import deque
 
 import numpy as np
+from scipy.special import ndtr
 
 from fluidq.measures import AtomicMeasure
 
@@ -40,6 +46,51 @@ def shift_tail(measure: AtomicMeasure, s: float) -> AtomicMeasure:
     new_loc = measure.locations - s
     keep = new_loc > 0.0
     return AtomicMeasure(new_loc[keep], measure.weights[keep])
+
+
+def service_cdf(law, x):
+    """P(v <= x) of a service law, from its kind and params."""
+    p = law.params
+    if law.kind == "exponential":
+        return -np.expm1(-p["rate"] * np.maximum(x, 0.0))
+    if law.kind == "uniform":
+        return np.clip((np.asarray(x, dtype=float) - p["a"]) / (p["b"] - p["a"]), 0.0, 1.0)
+    if law.kind == "deterministic":
+        return np.where(np.asarray(x, dtype=float) >= p["value"], 1.0, 0.0)
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    pos = x > 0.0
+    out[pos] = ndtr((np.log(x[pos]) - p["mu"]) / p["sigma"])
+    return out if out.ndim else float(out)
+
+
+def service_pdf(law, x):
+    """Density of a service law, from its kind and params."""
+    p = law.params
+    if law.kind == "exponential":
+        return p["rate"] * np.exp(-p["rate"] * np.maximum(x, 0.0))
+    x = np.asarray(x, dtype=float)
+    if law.kind == "uniform":
+        out = np.where((x >= p["a"]) & (x <= p["b"]), 1.0 / (p["b"] - p["a"]), 0.0)
+        return out if out.ndim else float(out)
+    mu, sigma = p["mu"], p["sigma"]
+    out = np.zeros_like(x)
+    pos = x > 0.0
+    xp = x[pos]
+    z = (np.log(xp) - mu) / sigma
+    out[pos] = np.exp(-0.5 * z * z) / (xp * sigma * math.sqrt(2.0 * math.pi))
+    return out if out.ndim else float(out)
+
+
+def rate_on_array(rate, x) -> np.ndarray:
+    """k(max(x, 0)) over a whole array, from the rate's kind and params."""
+    x = np.maximum(np.asarray(x, dtype=float), 0.0)
+    p = rate.params
+    if rate.kind == "constant":
+        return np.full_like(x, p["value"])
+    if rate.kind == "capped_linear":
+        return np.minimum(p["base"] + p["slope"] * x, p["cap"])
+    return np.interp(x, p["xs"], p["ks"])
 
 
 def brute_subset_excess(a: AtomicMeasure, b: AtomicMeasure, eps: float) -> float:

@@ -475,6 +475,19 @@ class TestDefect:
             with pytest.raises(FloatingPointError):
                 fm.fixed_point_defect(p, x)
 
+    def test_nan_row_gives_nan_defect(self, scenario_dir):
+        # a NaN anywhere in the path makes rows NaN; the defect keeps them
+        from fluidq.scenario import load_scenario
+
+        sc = load_scenario(scenario_dir / "underloaded_exp.scn")
+        p = dataclasses.replace(sc, dt=1e-2).fluid_params()
+        x, _ = fm.solve_count_path(p)
+        assert fm.fixed_point_defect(p, x) <= fm.defect_tolerance(x)
+        for i in (0, 10, 400, p.steps):
+            y = x.copy()
+            y[i] = math.nan
+            assert math.isnan(fm.fixed_point_defect(p, y)), i
+
     def test_zero_path_zero_defect(self):
         p = params_for(0.0)
         assert fm.fixed_point_defect(p, np.zeros(p.steps + 1)) == 0.0

@@ -16,6 +16,8 @@ from fluidq.laws import (
     table_rate,
 )
 
+from oracles import rate_on_array, service_cdf, service_pdf
+
 LAWS = {
     "exponential": make_exponential(1.0),
     "lognormal": make_lognormal(0.0, 0.5),
@@ -25,14 +27,14 @@ LAWS = {
 
 
 def ks_statistic(law, sample):
-    """sup_x |ecdf(x) - cdf(x)|, evaluated with one-sided limits at the
+    """sup_x |ecdf(x) - (1 - tail(x))|, evaluated with one-sided limits at the
     distinct sample values so laws with atoms compare cleanly."""
     xs = np.sort(sample)
     n = xs.size
     values = np.unique(xs)
     ecdf_right = np.searchsorted(xs, values, side="right") / n
     ecdf_left = np.searchsorted(xs, values, side="left") / n
-    cdf_right = np.asarray(law.cdf(values), dtype=float)
+    cdf_right = 1.0 - np.asarray(law.tail(values), dtype=float)
     cdf_left = 1.0 - np.asarray(law.tail_geq(values), dtype=float)
     return max(
         float(np.max(np.abs(ecdf_right - cdf_right))),
@@ -48,15 +50,15 @@ class TestServiceLaws:
         assert make_exponential(1.0).pdf(0.0) == 1.0
 
     def test_exponential_median(self):
-        assert make_exponential(2.0).cdf(math.log(2) / 2) == pytest.approx(0.5, abs=1e-12)
+        assert make_exponential(2.0).tail(math.log(2) / 2) == pytest.approx(0.5, abs=1e-12)
 
     def test_uniform_midpoint(self):
-        assert make_uniform(0.0, 2.0).cdf(1.0) == 0.5
+        assert make_uniform(0.0, 2.0).tail(1.0) == 0.5
 
     def test_lognormal_median(self):
         # the median of a lognormal is e^mu
-        assert make_lognormal(0.0, 1.0).cdf(1.0) == pytest.approx(0.5, abs=1e-12)
-        assert make_lognormal(0.7, 0.4).cdf(math.exp(0.7)) == pytest.approx(0.5, abs=1e-12)
+        assert make_lognormal(0.0, 1.0).tail(1.0) == pytest.approx(0.5, abs=1e-12)
+        assert make_lognormal(0.7, 0.4).tail(math.exp(0.7)) == pytest.approx(0.5, abs=1e-12)
 
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -74,12 +76,6 @@ class TestServiceLaws:
     def test_lipschitz_densities_accepted(self, name):
         LAWS[name].require_lipschitz_density()
 
-    @pytest.mark.parametrize("name", sorted(LAWS))
-    def test_tail_complements_cdf(self, name):
-        law = LAWS[name]
-        x = np.linspace(0.0, 6.0, 301)
-        assert np.max(np.abs(law.tail(x) + law.cdf(x) - 1.0)) == 0.0
-
     @pytest.mark.parametrize("name", ["exponential", "lognormal", "uniform"])
     def test_cdf_integrates_density(self, name):
         law = LAWS[name]
@@ -87,7 +83,7 @@ class TestServiceLaws:
         for x in np.linspace(0.25, 6.0, 12):
             val, _ = quad(lambda u: float(law.pdf(u)), 0.0, x,
                           points=[b for b in breaks if b < x], limit=200)
-            assert abs(law.cdf(x) - val) < 1e-6
+            assert abs(1.0 - law.tail(x) - val) < 1e-6
 
     @pytest.mark.parametrize("name", ["exponential", "lognormal"])
     def test_density_lipschitz_constant_holds(self, name):
@@ -159,27 +155,33 @@ def same_floats(got, want) -> bool:
 
 
 class TestTailAndPdf:
-    """``tail_and_pdf`` gives the floats of ``tail`` and ``pdf``, whether
-    the law fuses the two passes (lognormal) or not."""
+    """``tail``, ``pdf`` and ``tail_and_pdf`` give the floats of the plain
+    reference formulas in ``oracles``, 1 - cdf and the density, whether the
+    law fuses the two passes (lognormal) or not."""
 
     @pytest.mark.parametrize("law", [
         make_exponential(1.0), make_exponential(50.0), make_lognormal(0.0, 0.5),
         make_lognormal(-1.3, 2.1), make_lognormal(2.0, 0.05), make_uniform(0.5, 2.0),
+        make_deterministic(0.5),
     ], ids=["exponential", "exponential_fast", "lognormal", "lognormal_wide", "lognormal_narrow",
-            "uniform"])
+            "uniform", "deterministic"])
     def test_bit_equal_to_tail_and_pdf(self, law):
         rng = np.random.default_rng(11)
         special = [-3.0, -1e-300, -0.0, 0.0, 1e-300, 1e-12, 1.0, 1e3, 1e300, np.inf, np.nan]
         x = np.concatenate([special, rng.uniform(-1.0, 12.0, 1000 - len(special))])
         grid = x.reshape(40, 25)
         for arg in (x, grid, grid.T, grid[::3, 1:], -2.0, 0.0, 1e-300, 0.7, 1e300):
+            assert same_floats(law.tail(arg), 1.0 - service_cdf(law, arg)), arg
+            if law.pdf is None:
+                continue
+            assert same_floats(law.pdf(arg), service_pdf(law, arg)), arg
             tail, pdf = law.tail_and_pdf(arg)
             assert same_floats(tail, law.tail(arg)), arg
             assert same_floats(pdf, law.pdf(arg)), arg
 
     def test_fused_pass_keeps_the_callers_errstate(self):
         # only the elements at x <= 0 are excused: an overflow at x > 0
-        # raises as it does in pdf
+        # raises as it does in pdf, and the tail alone never overflows
         law = make_lognormal(0.0, 10.0)
         x = np.array([0.0, -1.0, 1e308])  # x * sigma overflows in the density
         with np.errstate(over="raise"):
@@ -188,6 +190,7 @@ class TestTailAndPdf:
             with pytest.raises(FloatingPointError):
                 law.tail_and_pdf(x)
             tail, pdf = law.tail_and_pdf(x[:2])
+            assert law.tail(x).tolist() == [1.0, 1.0, 0.0]
         assert tail.tolist() == [1.0, 1.0] and pdf.tolist() == [0.0, 0.0]
 
 
@@ -203,8 +206,11 @@ class TestRateFunctions:
         for x in xs + [np.float64(x) for x in xs]:
             got = k(x)
             assert type(got) is float
-            assert same_floats(np.float64(got), k(np.array([x]))[0]), x
+            assert same_floats(np.float64(got), rate_on_array(k, np.array([x]))[0]), x
         assert math.isnan(k(math.nan)) == (k.kind != "constant")  # NaN propagates
+        grid = np.concatenate([xs, np.linspace(-1.0, 8.0, 5001 - len(xs))]).reshape(3, -1)
+        for arg in (grid, grid.T, grid[:, ::7], grid[0]):
+            assert same_floats(k(arg), rate_on_array(k, arg))
 
     def test_constant(self):
         k = constant_rate(1.5)

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import erfc
 
 from fluidq.cli import atomic_to_text
-from fluidq.measures import AtomicMeasure, TailFunction, _excess_at_most, prohorov
+from fluidq.measures import AtomicMeasure, TailFunction, _cumulative, _excess_at_most, prohorov
 
 import oracles
 from oracles import (brute_prohorov, prohorov_reference, shift_tail,
@@ -288,16 +288,16 @@ class TestShortCircuit:
               m((0.25, 0.5)), 0.25))
     def test_matches_full_dynamic_program(self, case):
         a, b, eps = case
-        assert _excess_at_most(a, b, eps) == (subset_excess_reference(a, b, eps) <= eps)
-        assert _excess_at_most(b, a, eps) == (subset_excess_reference(b, a, eps) <= eps)
+        assert _excess_at_most(a, b, eps, _cumulative(b)) == (subset_excess_reference(a, b, eps) <= eps)
+        assert _excess_at_most(b, a, eps, _cumulative(a)) == (subset_excess_reference(b, a, eps) <= eps)
         assert prohorov(a, b) == prohorov_reference(a, b)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(run_pairs())
     def test_runs_match_full_dynamic_program(self, case):
         a, b, eps = case
-        assert _excess_at_most(a, b, eps) == (subset_excess_reference(a, b, eps) <= eps)
-        assert _excess_at_most(b, a, eps) == (subset_excess_reference(b, a, eps) <= eps)
+        assert _excess_at_most(a, b, eps, _cumulative(b)) == (subset_excess_reference(a, b, eps) <= eps)
+        assert _excess_at_most(b, a, eps, _cumulative(a)) == (subset_excess_reference(b, a, eps) <= eps)
         assert prohorov(a, b) == prohorov_reference(a, b)
 
     def test_workload_shape_matches_reference(self, monkeypatch):
@@ -321,8 +321,8 @@ class TestShortCircuit:
         assert prohorov(a, b) == oracles.prohorov_reference(a, b)
         assert len(set(visited)) > 20
         for eps in set(visited):
-            assert _excess_at_most(a, b, eps) == (subset_excess_reference(a, b, eps) <= eps)
-            assert _excess_at_most(b, a, eps) == (subset_excess_reference(b, a, eps) <= eps)
+            assert _excess_at_most(a, b, eps, _cumulative(b)) == (subset_excess_reference(a, b, eps) <= eps)
+            assert _excess_at_most(b, a, eps, _cumulative(a)) == (subset_excess_reference(b, a, eps) <= eps)
 
     def test_fine_tolerance_ends(self):
         d = prohorov(m((0.0, 1.0)), m((0.3, 1.0)), tol=1e-20)

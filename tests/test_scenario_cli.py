@@ -1,6 +1,9 @@
+import contextlib
 import importlib.util
+import io
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -459,6 +462,72 @@ class TestCli:
         assert proc.returncode == 0
         assert (out / "gc.tsv").exists()
         assert "gc-check n=5" in proc.stdout
+
+
+# Laws, rates and initial conditions a CLI run draws, a few values each.
+CLI_SERVICES = ("exponential rate=1.0", "exponential rate=40.0", "lognormal mu=0.0 sigma=0.5",
+                "lognormal mu=-1.0 sigma=1.5", "uniform a=0.5 b=1.5", "deterministic value=0.7")
+CLI_RATES = ("constant value=1.0", "constant value=0.0", "capped_linear base=0.5 slope=1.0 cap=2.0",
+             "capped_linear base=0.0 slope=2.0 cap=1.0", "table knots=0:1,1:0.5,2:1.5",
+             "table knots=0:0,1:2")
+CLI_INITIALS = ("empty", "scaled_tail mass=0.6", "scaled_tail mass=1.0",
+                "grid points=0:0.6,1:0.3,2:0")
+
+
+@st.composite
+def cli_runs(draw):
+    """A command and a small scenario drawn from every service, rate and
+    initial kind, with its own dt, horizon, lambda and q0."""
+    horizon = draw(st.sampled_from(("0.0", "0.5", "1.0", "2.0")))
+    text = "".join(f"{key} = {value}\n" for key, value in (
+        ("name", "cli_fuzz"),
+        ("lambda", draw(st.sampled_from(("0", "0.6", "1.5")))),
+        ("arrival", draw(st.sampled_from(("exponential", "deterministic", "uniform")))),
+        ("service", draw(st.sampled_from(CLI_SERVICES))),
+        ("rate", draw(st.sampled_from(CLI_RATES))),
+        ("initial", draw(st.sampled_from(CLI_INITIALS))),
+        ("q0", draw(st.sampled_from(("0", "0.4")))),
+        ("horizon", horizon),
+        ("dt", draw(st.sampled_from(("0.01", "0.05", "0.25", "0.3")))),
+        ("x_max", "3.0"),
+        ("x_step", "0.25"),
+        ("n_list", draw(st.sampled_from(("1", "3,5")))),
+        ("replications", "1"),
+        ("seed", "5"),
+        ("snapshot_times", horizon),
+    ))
+    return draw(st.sampled_from(("simulate", "solve", "compare", "gc-check"))), text
+
+
+def _artifacts(command, scenario):
+    """The files a successful run of ``command`` writes."""
+    if command == "simulate":
+        return {f"{kind}_n{n}_seed{scenario.seed}.{ext}" for n in scenario.n_list
+                for kind, ext in (("trajectory", "tsv"), ("snapshots", "txt"))}
+    return {"solve": {"solution.tsv", "tail_surface.tsv"},
+            "compare": {"report.tsv", "summary.txt"}, "gc-check": {"gc.tsv"}}[command]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cli_runs())
+def test_cli_exits_with_a_documented_code(run):
+    # every run ends in exit 0 with all of its artifacts, or in exit 2 or 3
+    # with a one-line cause on stderr and no artifacts; never in a traceback
+    command, text = run
+    with tempfile.TemporaryDirectory() as tmp:
+        scn, out = Path(tmp) / "fuzz.scn", Path(tmp) / "out"
+        scn.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([command, "--scenario", str(scn), "--out", str(out), "--quiet"])
+        written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        if code == 0:
+            assert set(written) == _artifacts(command, load_scenario(scn)), text
+            assert all((out / name).read_text().endswith("\n") for name in written)
+        else:
+            assert code in (2, 3), text
+            assert written == [], text
+            assert err.getvalue().startswith(("error: ", "numeric failure: ")), err.getvalue()
 
 
 def test_benchmark_trace_points_resolve():

@@ -207,11 +207,11 @@ class TestStateDependentRate:
         base = capped_linear_rate(0.5, 1.0, 2.0)
         calls = []
 
-        def counting_fn(x):
-            calls.append(float(x))
-            return base.fn(x)
+        def counting(x):
+            calls.append(x)
+            return base.scalar(x)
 
-        sim = Simulator(5, make_exponential(1.0), dataclasses.replace(base, fn=counting_fn),
+        sim = Simulator(5, make_exponential(1.0), dataclasses.replace(base, scalar=counting),
                         arrivals=make_arrivals("exponential", 1.2), seed=3)
         traj = sim.run(4.0, snapshot_times=[1.0, 2.0], record=True)
         x = traj.initial_count
@@ -221,7 +221,7 @@ class TestStateDependentRate:
             reached.add(x)
         assert len(traj.events) > 4 * len(reached)
         assert len(calls) == len(set(calls))
-        assert set(calls) <= {c / 5 for c in reached}
+        assert set(calls) == {c / 5 for c in reached}
 
 
 @pytest.fixture(scope="module")
