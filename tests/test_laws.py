@@ -76,6 +76,12 @@ class TestServiceLaws:
     def test_lipschitz_densities_accepted(self, name):
         LAWS[name].require_lipschitz_density()
 
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    def test_tail_complements_cdf(self, name):
+        law = LAWS[name]
+        x = np.linspace(0.0, 6.0, 301)
+        assert np.max(np.abs(law.tail(x) + service_cdf(law, x) - 1.0)) == 0.0
+
     @pytest.mark.parametrize("name", ["exponential", "lognormal", "uniform"])
     def test_cdf_integrates_density(self, name):
         law = LAWS[name]
