@@ -30,8 +30,9 @@ accepts a path only when fixed_point_defect is within DEFECT_TOL_FACTOR *
 equation, O(dt^2) away; where that gap exceeds the tolerance, ``solve``
 marches in time instead.  One function, _history, evaluates the
 time-grid trapezoid right-hand side for both the time march and the
-defect, with one law pass (``ServiceLaw.tail_and_pdf``) giving Gc and g on
-each pair matrix K_i - K_j.  The defect needs O(N^2) such evaluations; it
+defect, with one law pass over each pair matrix K_i - K_j: Gc alone until
+a queue forms ((X - 1)^+ k(X) != 0 on a column), then Gc and g together
+(``ServiceLaw.tail_and_pdf``).  The defect needs O(N^2) such passes; it
 takes the rows DEFECT_BLOCK_ROWS at a time and splits each block's rows
 across one thread per CPU, which bounds its memory whatever the CPU count
 and leaves every row's float as a serial call computes it.
@@ -172,7 +173,7 @@ class FluidSolution:
 
 
 def _ingredients(params: FluidParams):
-    """(h1, drain coefficient, lam, the law's (Gc, g) pass)."""
+    """(h1, drain coefficient, lam, service law)."""
     tail_f = params.initial_tail
     svc = params.service
     q0 = params.initial_queue
@@ -183,7 +184,7 @@ def _ingredients(params: FluidParams):
     def drain_coeff(x):
         return np.maximum(x - 1.0, 0.0) * params.rate(x)
 
-    return h1, drain_coeff, params.arrival_rate, svc.tail_and_pdf
+    return h1, drain_coeff, params.arrival_rate, svc
 
 
 def march_kind(rate: RateFunction) -> str:
@@ -241,32 +242,36 @@ def _history(ingredients, drain: np.ndarray, coeff: np.ndarray, i0: int, i1: int
                  + sum_j w_ij g(K_i - K_j) coeff_j,
 
     the last sum a matrix-vector product over the block.  Gc and g come
-    from one law pass over each pair matrix K_i - K_j.  With ``pool``, the
+    from one law pass over each pair matrix K_i - K_j; where coeff is 0 on
+    columns 0..i1 (no queue yet), the last sum is exactly 0 and the pass
+    takes Gc alone (a NaN coeff is not 0).  With ``pool``, the
     pair matrices, law passes and Gc sums of ``parts`` row ranges run on
     its threads; the matrix-vector product, whose summation order follows
     the matrix's shape, stays one call over the whole block, so every
     row's float is the one a serial call gives.
     """
     h1, _, lam, law = ingredients
+    queued = bool(np.any(coeff[: i1 + 1] != 0.0))
     now = drain[i0 + 1 : i1 + 1]
     rows = now.size
     q = np.arange(rows)
     last = np.where(q[None, :] < q[:, None], dt, 0.0)
     np.fill_diagonal(last, 0.5 * dt)
     tail_sums = np.empty(rows)
-    gw = np.empty((rows, i1 + 1))
+    gw = np.empty((rows, i1 + 1)) if queued else None
 
     def fill(r0: int, r1: int):
         d = now[r0:r1, None] - drain[None, : i1 + 1]
         np.maximum(d, 0.0, out=d)
-        h2, g = law(d)
+        h2, g = law.tail_and_pdf(d) if queued else (law.tail(d), None)
         del d
         h2 *= lam
         _weigh(h2, i0, last[r0:r1], dt)
         tail_sums[r0:r1] = h2.sum(axis=1)
         del h2
-        _weigh(g, i0, last[r0:r1], dt)
-        gw[r0:r1] = g
+        if queued:
+            _weigh(g, i0, last[r0:r1], dt)
+            gw[r0:r1] = g
 
     if pool is None:
         fill(0, rows)
@@ -276,7 +281,8 @@ def _history(ingredients, drain: np.ndarray, coeff: np.ndarray, i0: int, i1: int
                    for r0 in range(0, rows, step)]
         for f in futures:
             f.result()
-    return h1(now) + tail_sums + gw @ coeff[: i1 + 1]
+    rhs = h1(now) + tail_sums
+    return rhs + gw @ coeff[: i1 + 1] if queued else rhs
 
 
 def solve_count_path(params: FluidParams, start: str = "constant", march: str | None = None):
@@ -337,10 +343,11 @@ def _drain_march(params: FluidParams, start: str, diag: SolveDiagnostics) -> np.
 
     with t(u) = int_0^u dv/k(X(v)), by the trapezoid rule on u_m = m*du.
     The kernels are fixed, so the lagged part of node m is two dot
-    products against reversed tables of Gc and g, and the lag-0 part
-    leaves a scalar equation.  t grows by at least du/k_sup per node, so
-    at most k_sup/k_min nodes per time step are needed.  Returns X on the
-    time grid, linearly interpolated in t."""
+    products against reversed tables of Gc and g (the second skipped, as
+    0, until a node has a queue), and the lag-0 part leaves a scalar
+    equation.  t grows by at least du/k_sup per node, so at most
+    k_sup/k_min nodes per time step are needed.  Returns X on the time
+    grid, linearly interpolated in t."""
     rate = params.rate
     lam = params.arrival_rate
     du = diag.du
@@ -362,14 +369,16 @@ def _drain_march(params: FluidParams, start: str, diag: SolveDiagnostics) -> np.
     inv_k = 1.0 / rate(x[0])
     arrivals[0] = 0.5 * lam * inv_k
     excess[0] = 0.5 * max(x[0] - 1.0, 0.0)
+    queued = False  # some node so far has excess != 0
     m = 0
     while t[m] < params.horizon:
         m += 1
         if m > nodes:
             raise FluidSolverError(f"drain march passed its {nodes} nodes before the horizon")
         lag = slice(nodes - m, nodes)
+        queued = queued or excess[m - 1] != 0.0
         lagged = h1_u[m] + du * (
-            np.dot(arrivals[:m], gc_rev[lag]) + np.dot(excess[:m], g_rev[lag])
+            np.dot(arrivals[:m], gc_rev[lag]) + (np.dot(excess[:m], g_rev[lag]) if queued else 0.0)
         )
         x[m], it = _fixed_point(
             lambda v: lagged + lag0_arrivals / rate(v) + lag0_drain * max(v - 1.0, 0.0),
@@ -434,10 +443,11 @@ def fixed_point_defect(params: FluidParams, count: np.ndarray) -> float:
     not.
 
     The rows are taken DEFECT_BLOCK_ROWS at a time, one ``_history`` call
-    each, with the block's rows split across one thread per CPU (numpy's
-    and scipy's loops release the GIL).  The block size does not depend on
-    the CPU count, so neither do the floats nor the peak memory.  A NaN
-    in any row makes the defect NaN, which no tolerance accepts."""
+    each (g only once a queue has formed by the block's last row), with
+    the block's rows split across one thread per CPU (numpy's and scipy's
+    loops release the GIL).  The block size does not depend on the CPU
+    count, so neither do the floats nor the peak memory.  A NaN in any
+    row makes the defect NaN, which no tolerance accepts."""
     count = np.asarray(count, dtype=float)
     n = count.size - 1
     if n != params.steps:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 
 class DensityRequiredError(ValueError):
@@ -120,6 +119,11 @@ def _lognormal_lipschitz(mu: float, sigma: float, pdf: Callable) -> float:
 def make_lognormal(mu: float, sigma: float) -> ServiceLaw:
     if sigma <= 0:
         raise ValueError("sigma must be positive")
+    # the constants below are exponentials of at most 2|mu| + 2 sigma^2 +
+    # 2|log sigma| + 2 in magnitude; a float overflows past exp(709.78)
+    if not 2.0 * (abs(mu) + sigma * sigma + abs(math.log(sigma)) + 1.0) <= 709.0:
+        raise ValueError(f"lognormal mu={mu!r} sigma={sigma!r}: its mean or density constants overflow")
+    from scipy.special import ndtr  # scipy is imported only for this law
 
     def tail_and_pdf(x, density=True):
         # All elements go through one log and one z.  The elements with

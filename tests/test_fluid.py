@@ -40,6 +40,20 @@ def params_for(lam, horizon=5.0, dt=1e-3, service=None, rate=None,
     )
 
 
+def queue_mid_block_path():
+    """A path off the solution whose drain coefficient is first positive at
+    row 400, inside the defect's second block of 256 rows: the first block
+    takes Gc alone, the later ones Gc and g."""
+    p = params_for(0.9, horizon=6.0, dt=1e-2, rate=capped_linear_rate(0.5, 1.0, 2.0))
+    x, _ = fm.solve_count_path(p)
+    assert np.max(x) < 0.9
+    x = x + 1e-3 * np.sin(7.0 * p.times)
+    x[400:] += 0.5
+    first = int(np.argmax(fm._ingredients(p)[1](x) > 0.0))
+    assert first == 400 and fm.DEFECT_BLOCK_ROWS < first < 2 * fm.DEFECT_BLOCK_ROWS
+    return p, x
+
+
 @pytest.fixture(scope="module")
 def underloaded():
     p = params_for(0.5)
@@ -403,39 +417,46 @@ class TestDefect:
         p, x, _ = underloaded
         assert fm.fixed_point_defect(p, x + 0.1) >= 1e-2
 
-    @pytest.mark.parametrize("case", ["constant_overloaded", "queue_start", "state_dependent_queue"])
+    @pytest.mark.parametrize("case", ["constant_overloaded", "queue_start", "state_dependent_queue",
+                                      "queue_mid_block"])
     def test_defect_matches_plain_loop_rhs(self, case, scenario_dir):
         import dataclasses
 
         from fluidq.scenario import load_scenario
 
-        if case == "queue_start":
-            sc = load_scenario(scenario_dir / "queue_start.scn")
-            p = dataclasses.replace(sc, dt=0.01).fluid_params()
+        if case == "queue_mid_block":
+            p, x = queue_mid_block_path()
         else:
-            rate = constant_rate(1.0) if case == "constant_overloaded" else capped_linear_rate(0.5, 1.0, 2.0)
-            p = params_for(2.0, horizon=2.0, dt=0.01, rate=rate)
-        x, _ = fm.solve_count_path(p)
-        x = x + 0.05 * np.sin(3.0 * p.times)  # off the solution, queue included
+            if case == "queue_start":
+                sc = load_scenario(scenario_dir / "queue_start.scn")
+                p = dataclasses.replace(sc, dt=0.01).fluid_params()
+            else:
+                rate = constant_rate(1.0) if case == "constant_overloaded" else capped_linear_rate(0.5, 1.0, 2.0)
+                p = params_for(2.0, horizon=2.0, dt=0.01, rate=rate)
+            x, _ = fm.solve_count_path(p)
+            x = x + 0.05 * np.sin(3.0 * p.times)  # off the solution, queue included
         rhs = count_equation_rhs(x.tolist(), p.dt_effective, p.arrival_rate, p.initial_queue,
                                  p.initial_tail, p.service.tail, p.service.pdf, p.rate)
         expected = float(np.max(np.abs(x - np.array(rhs))))
         assert expected > 1e-2
         assert abs(fm.fixed_point_defect(p, x) - expected) <= 1e-12
 
-    @pytest.mark.parametrize("case", ["state_dependent", "lognormal_time_march"])
+    @pytest.mark.parametrize("case", ["state_dependent", "lognormal_time_march", "queue_mid_block"])
     def test_defect_is_max_over_history_rows(self, case, scenario_dir, monkeypatch):
         from fluidq.scenario import load_scenario
 
-        if case == "state_dependent":
-            sc = load_scenario(scenario_dir / "state_dependent.scn")
-            p = dataclasses.replace(sc, dt=1e-2).fluid_params()
+        if case == "queue_mid_block":
+            p, x = queue_mid_block_path()
         else:
-            p = params_for(1.2, horizon=2.0, dt=5e-3, service=make_lognormal(0.0, 0.5),
-                           rate=table_rate([0.0, 0.5, 2.0], [0.0, 1.0, 2.0]))
-        x, diag = fm.solve_count_path(p)
-        assert diag.march == ("drain" if case == "state_dependent" else "time")
-        x = x + 1e-4 * np.sin(7.0 * p.times)
+            if case == "state_dependent":
+                sc = load_scenario(scenario_dir / "state_dependent.scn")
+                p = dataclasses.replace(sc, dt=1e-2).fluid_params()
+            else:
+                p = params_for(1.2, horizon=2.0, dt=5e-3, service=make_lognormal(0.0, 0.5),
+                               rate=table_rate([0.0, 0.5, 2.0], [0.0, 1.0, 2.0]))
+            x, diag = fm.solve_count_path(p)
+            assert diag.march == ("drain" if case == "state_dependent" else "time")
+            x = x + 1e-4 * np.sin(7.0 * p.times)
         n, dt = p.steps, p.dt_effective
         ing = fm._ingredients(p)
         drain = fm.cumulative_drain(x, p.rate, dt)
@@ -463,6 +484,43 @@ class TestDefect:
         whole = fm._history(ing, drain, coeff, 0, n, dt)
         assert np.max(np.abs(whole - rows)) <= 1e-14
         assert abs(max(head, float(np.max(np.abs(x[1:] - whole)))) - defect) <= 1e-14
+
+    def test_density_evaluated_only_once_a_queue_forms(self, scenario_dir):
+        # the density term carries (X - 1)^+ k(X), so a path that never
+        # reaches 1 needs no density on any pair matrix or march node
+        from fluidq.scenario import load_scenario
+
+        def counted(name):
+            p = dataclasses.replace(load_scenario(scenario_dir / f"{name}.scn"), dt=1e-2).fluid_params()
+            law, calls = p.service, []
+
+            def tail_and_pdf(x):
+                calls.append(np.shape(x))
+                return law.tail_and_pdf(x)
+
+            def pdf(x):
+                calls.append(np.shape(x))
+                return law.pdf(x)
+
+            return dataclasses.replace(p, service=dataclasses.replace(
+                law, pdf=pdf, _tail_and_pdf=tail_and_pdf)), calls
+
+        p, calls = counted("state_dependent")
+        x, diag = fm.solve_count_path(p)
+        assert diag.march == "drain" and np.max(x) < 1.0
+        # the drain march tabulates Gc and g once on its drain grid, and
+        # never takes its g history while no node has a queue
+        assert len(calls) == 1 and len(calls[0]) == 1
+        calls.clear()
+        fm.fixed_point_defect(p, x)
+        fm.fixed_point_defect(p, fm.solve_count_path(p, march="time")[0])
+        assert calls == []
+        p, calls = counted("queue_start")
+        x, _ = fm.solve_count_path(p, march="time")
+        assert calls
+        calls.clear()
+        fm.fixed_point_defect(p, x)
+        assert calls
 
     def test_defect_threads_keep_the_callers_errstate(self):
         # the row sums overflow inside the pool's threads; the caller's

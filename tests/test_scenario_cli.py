@@ -4,6 +4,7 @@ import io
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -430,6 +431,30 @@ class TestCli:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numeric failure: ")
         assert "overflow" in lines[0]
+
+    @pytest.mark.parametrize("sigma", ["40.0", "1e200", "1e300"])
+    def test_overflowing_lognormal_names_sigma(self, tmp_path, scenario_dir, sigma):
+        # the lognormal's mean or density constants overflow: exit 2 with
+        # the parameters named, before any overflow or warning
+        text = (scenario_dir / "state_dependent.scn").read_text()
+        scn = tmp_path / "wide.scn"
+        scn.write_text(text.replace("sigma=0.5", f"sigma={sigma}"))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.main(["solve", "--scenario", str(scn), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert caught == []
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and "lognormal" in lines[0] and "sigma" in lines[0], lines
+
+    @pytest.mark.parametrize("name, imported", [("underloaded_exp", False), ("state_dependent", True)])
+    def test_scipy_imported_only_for_the_lognormal(self, scenario_dir, name, imported):
+        code = ("import sys\nfrom fluidq import cli\nfrom fluidq.scenario import load_scenario\n"
+                "load_scenario(sys.argv[1])\nprint('scipy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code, str(scenario_dir / f"{name}.scn")],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == str(imported)
 
     def test_compare_simulation_only(self, tmp_path, scenario_dir):
         out = tmp_path / "out"
