@@ -9,7 +9,9 @@ Common flags: --seed (base-seed override), --n (comma list override),
 --quiet.  Exit codes: 0 ok, 2 configuration error, 3 numeric failure.
 Every artifact header carries the scenario hash and the seed, and
 identical inputs produce byte-identical artifacts; on error, partially
-written artifacts are removed.  This module owns the artifact format: every
+written artifacts are removed.  ``simulate`` and ``compare`` run their (n, seed)
+jobs on forked workers (``harness.run_jobs``); only this process writes and
+prints, in (n, seed) order.  This module owns the artifact format: every
 table goes through ``_table``.
 """
 
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .fluid import FluidAccuracyError, FluidSolution, FluidSolverError, solve
-from .harness import ConvergenceReport, convergence_experiment, glivenko_cantelli_check, run_scenario_once
+from .harness import ConvergenceReport, convergence_experiment, glivenko_cantelli_check, run_jobs, run_scenario_once
 from .laws import DensityRequiredError
 from .measures import AtomicMeasure
 from .scenario import ScenarioError, load_scenario, scenario_hash
@@ -173,20 +175,22 @@ def summary_to_text(report: ConvergenceReport, header_lines=()) -> str:
 
 def _cmd_simulate(scenario, writer: _Writer, n_list, seeds, say):
     grid = scenario.time_grid()
-    for n in n_list:
-        for seed in seeds:
-            traj = run_scenario_once(
-                scenario, n, seed, grid=grid, snapshot_times=scenario.snapshot_times
-            )
-            header = _base_header(scenario, "simulate", seed) + [f"n: {n}"]
-            writer.write(
-                f"trajectory_n{n}_seed{seed}.tsv", trajectory_to_text(traj, header)
-            )
-            if traj.snapshots:
-                writer.write(
-                    f"snapshots_n{n}_seed{seed}.txt", snapshots_to_text(traj, header)
-                )
-            say(f"simulate n={n} seed={seed}: {traj.event_count} events")
+
+    def job(key):
+        n, seed = key
+        traj = run_scenario_once(
+            scenario, n, seed, grid=grid, snapshot_times=scenario.snapshot_times
+        )
+        header = _base_header(scenario, "simulate", seed) + [f"n: {n}"]
+        snapshots = snapshots_to_text(traj, header) if traj.snapshots else None
+        return trajectory_to_text(traj, header), snapshots, traj.event_count
+
+    keys = [(n, seed) for n in n_list for seed in seeds]
+    for (n, seed), (trajectory, snapshots, events) in zip(keys, run_jobs(job, keys)):
+        writer.write(f"trajectory_n{n}_seed{seed}.tsv", trajectory)
+        if snapshots is not None:
+            writer.write(f"snapshots_n{n}_seed{seed}.txt", snapshots)
+        say(f"simulate n={n} seed={seed}: {events} events")
 
 
 def _cmd_solve(scenario, writer: _Writer, say):

@@ -66,6 +66,7 @@ PICARD_TOL_FACTOR = 1e-9   # a node's iteration stops at this * (1 + |X|)
 MAX_PICARD_ITERATIONS = 80
 MAX_NODES_PER_STEP = 16    # drain march only while k_sup/k_min is at most this
 DEFECT_BLOCK_ROWS = 256    # rows of the pair matrix in memory at once in the defect
+MAX_TABLE_ENTRIES = 10**7  # tail_on_grid's lattice table: 80 MB, as the parser's time grid
 
 
 def time_grid(horizon: float, dt: float) -> np.ndarray:
@@ -471,16 +472,23 @@ def defect_tolerance(count: np.ndarray) -> float:
     return DEFECT_TOL_FACTOR * (1.0 + float(np.max(np.abs(count))))
 
 
-def _drain_lattice(params: FluidParams, x_grid: np.ndarray):
+def _drain_lattice(params: FluidParams, x_grid: np.ndarray, reach: float):
     """(du, r) when the tail surface can be summed on a drain lattice: the
     drain march applies to k and ``x_grid`` is 0, h, 2h, ...; du = h/r is
-    the largest such step within k_min*dt.  None otherwise."""
+    the largest such step within k_min*dt.  None otherwise.  Raises
+    ValueError when tail_on_grid's table over ``x_grid`` and a drain of
+    ``reach`` could pass MAX_TABLE_ENTRIES."""
     if march_kind(params.rate) != "drain" or x_grid.size < 2 or x_grid[0] != 0.0:
         return None
     h = float(x_grid[1])
     if h <= 0.0 or np.max(np.abs(x_grid - h * np.arange(x_grid.size))) > 1e-12 * x_grid[-1]:
         return None
-    r = int(math.ceil(h / (params.rate.floor * params.dt_effective) - 1e-9))
+    x_max, dt = float(x_grid[-1]), params.dt_effective
+    cells = h / (params.rate.floor * dt)
+    if not (x_max + reach) / h * (cells + 2) <= MAX_TABLE_ENTRIES:
+        raise ValueError(f"x_max {x_max!r} at x_step {h!r} and dt {dt!r} needs a tail table "
+                         f"of more than {MAX_TABLE_ENTRIES} entries; lower x_max or raise dt")
+    r = int(math.ceil(cells - 1e-9))
     return h / r, r
 
 
@@ -509,7 +517,7 @@ def tail_on_grid(
     svc_tail = params.service.tail
     rows = np.asarray(t_index, dtype=int)
     z = np.asarray(params.initial_tail(x_grid + drained[rows.ravel(), None]), dtype=float)
-    lattice = _drain_lattice(params, x_grid)
+    lattice = _drain_lattice(params, x_grid, float(np.max(drained[rows], initial=0.0)))
     if lattice is not None:
         du, r = lattice
         steps = [int(math.ceil(drained[i] / du - 1e-9)) for i in rows.ravel()]

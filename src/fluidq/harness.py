@@ -5,9 +5,10 @@ Both sides of a gap sit on the scenario's time grid.  The fluid measure at
 a snapshot is the row of ``fluid.tail_on_grid`` at the snapshot's grid index,
 differenced into cell-midpoint atoms by ``discretize_fluid_measure``.
 
-All stochastic outputs are deterministic functions of the seeds handed in;
-experiments run one (n, seed) pair at a time and report rows in key order.
-Artifact formatting lives in the cli module.
+All stochastic outputs are deterministic functions of the seeds handed in.
+The (n, seed) runs are independent jobs that ``run_jobs`` spreads over one
+forked worker per CPU and returns in key order, so no row depends on the
+CPU count.  Artifact formatting lives in the cli module.
 """
 
 from __future__ import annotations
@@ -21,6 +22,39 @@ from . import fluid as fluid_mod
 from .laws import DensityRequiredError, ServiceLaw
 from .measures import AtomicMeasure, prohorov
 from .simulate import Simulator, init, sample_initial
+
+
+_pool_work = None  # (fn, keys, numpy error state) for the forked workers
+
+
+def _pool_job(i: int):
+    fn, keys, errstate = _pool_work
+    with np.errstate(**errstate):
+        return fn(keys[i])
+
+
+def run_jobs(fn, keys) -> list:
+    """``[fn(key) for key in keys]`` over (n, seed) keys on one forked worker
+    per CPU (in process for one).  Workers import nothing again, see the
+    caller's modules and numpy error state, and get only a key's index.
+    Keys go out largest n first; results are collected in key order, so the
+    first failing key raises, as in a serial loop."""
+    global _pool_work
+    workers = min(fluid_mod._cpus(), len(keys))
+    if workers <= 1:
+        return [fn(key) for key in keys]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    _pool_work = (fn, keys, np.geterr())
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        order = sorted(range(len(keys)), key=lambda i: -keys[i][0])
+        futures = {i: pool.submit(_pool_job, i) for i in order}
+        return [futures[i].result() for i in range(len(keys))]
+    finally:
+        pool.shutdown(cancel_futures=True)
+        _pool_work = None
 
 
 @dataclass(frozen=True)
@@ -132,7 +166,8 @@ def convergence_experiment(
     ``seeds`` defaults to the scenario's seed plus 0 .. replications - 1.
     Laws without a Lipschitz density have no fluid target; the report is
     then marked simulation-only and its rows are built without running
-    the simulations.  Deterministic for fixed seeds.
+    the simulations; otherwise each row is one ``run_jobs`` job.
+    Deterministic for fixed seeds.
     """
     n_list = list(scenario.n_list if n_list is None else n_list)
     if seeds is None:
@@ -180,7 +215,7 @@ def convergence_experiment(
         return GapRow(n, seed, count_gap, queue_gap, starts_gap, tuple(mgaps))
 
     keys = sorted({(n, seed) for n in n_list for seed in seeds})
-    report.rows = [job(key) for key in keys]
+    report.rows = list(map(job, keys)) if simulation_only else run_jobs(job, keys)
     return report
 
 

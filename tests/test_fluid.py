@@ -336,7 +336,7 @@ class TestTailSurface:
         drained = fm.cumulative_drain(x, p.rate, p.dt_effective)
         _, started = fm.queue_and_starts(x, p.arrival_rate, p.times)
         xs = 0.25 * np.arange(13)
-        assert (fm._drain_lattice(p, xs) is not None) == lattice
+        assert (fm._drain_lattice(p, xs, 0.0) is not None) == lattice
         for i in (1, 377, p.steps):
             z = fm.tail_on_grid(p, drained, started, i, xs)
             oracle = tail_midpoint_sum(xs.tolist(), drained.tolist(), started.tolist(), i,
@@ -355,7 +355,7 @@ class TestTailSurface:
         _, started = fm.queue_and_starts(x, p.arrival_rate, p.times)
         p = dataclasses.replace(p, service=service)
         xs = 0.25 * np.arange(13)
-        assert fm._drain_lattice(p, xs) is not None
+        assert fm._drain_lattice(p, xs, 0.0) is not None
         idx = [0, 1, 377, p.steps]
         rows = fm.tail_on_grid(p, drained, started, idx, xs)
         assert rows.shape == (len(idx), xs.size)

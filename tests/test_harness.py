@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 from fluidq import fluid as fm
+from fluidq import harness
 from fluidq.cli import report_to_text, summary_to_text
 from fluidq.harness import (
     convergence_experiment,
@@ -56,6 +59,27 @@ class TestDiscretize:
     def test_negative_cell_mass_rejected(self):
         with pytest.raises(fm.FluidAccuracyError, match="cell mass"):
             discretize_fluid_measure(np.array([0.4, 0.5]), np.array([0.0, 1.0]))
+
+
+class TestRunJobs:
+    def test_results_in_key_order_from_other_processes(self, monkeypatch):
+        monkeypatch.setattr(fm, "_cpus", lambda: 2)
+        keys = [(1, 0), (3, 0), (2, 1)]  # handed out (3, 0) first
+        results = harness.run_jobs(lambda key: (key, os.getpid()), keys)
+        assert [key for key, _ in results] == keys
+        assert os.getpid() not in {pid for _, pid in results}
+
+    def test_workers_run_under_the_callers_error_state(self, monkeypatch):
+        monkeypatch.setattr(fm, "_cpus", lambda: 2)
+        keys = [(1, 0), (1, 1)]
+
+        def overflow(key):
+            return float(np.exp(np.float64(1000.0)))
+
+        with np.errstate(over="ignore"):
+            assert harness.run_jobs(overflow, keys) == [np.inf, np.inf]
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            harness.run_jobs(overflow, keys)
 
 
 class TestConvergence:

@@ -1,6 +1,7 @@
 import contextlib
 import importlib.util
 import io
+import multiprocessing
 import subprocess
 import sys
 import tempfile
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fluidq import cli
+from fluidq import cli, harness
+from fluidq import fluid as fluid_mod
 from fluidq.scenario import (
     Scenario,
     ScenarioError,
@@ -477,6 +479,21 @@ class TestCli:
         assert final[0] == "0.5"
         assert int(final[1]) >= 1  # two deterministic arrivals happened by then
 
+    @pytest.mark.parametrize("dt", ["0.1", "0.0001"])
+    def test_oversized_tail_table_refused(self, tmp_path, capsys, dt):
+        # the lattice table would span x_max/(k_min*dt) entries; it is
+        # refused before it is allocated, with the three keys named
+        scn = tmp_path / "huge.scn"
+        scn.write_text("name = huge\nlambda = 1.2\nservice = lognormal mu=0.0 sigma=0.5\n"
+                       "rate = capped_linear base=0.5 slope=1.0 cap=2.0\nhorizon = 0.1\n"
+                       f"dt = {dt}\nx_max = 1e308\nx_step = 1e304\nsnapshot_times = 0.1\n")
+        out = tmp_path / "out"
+        assert run_cli(["solve", "--scenario", str(scn), "--out", str(out), "--quiet"]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: x_max 1e+308 at x_step 1e+304 and dt {float(dt)!r} needs a tail table of "
+            f"more than {fluid_mod.MAX_TABLE_ENTRIES} entries; lower x_max or raise dt\n")
+
     def test_console_entry_point(self, tmp_path, tiny_scenario):
         out = tmp_path / "out"
         proc = subprocess.run(
@@ -487,6 +504,94 @@ class TestCli:
         assert proc.returncode == 0
         assert (out / "gc.tsv").exists()
         assert "gc-check n=5" in proc.stdout
+
+
+class TestWorkers:
+    """simulate and compare run their (n, seed) jobs on one forked worker
+    per CPU; nothing a run writes or prints may depend on that count."""
+
+    @pytest.fixture()
+    def coarse_state_dependent(self, tmp_path, scenario_dir):
+        # the shipped scenario at a coarser dt, to keep the solves short
+        text = (scenario_dir / "state_dependent.scn").read_text()
+        scn = tmp_path / "state_dependent.scn"
+        scn.write_text(text.replace("dt = 0.001", "dt = 0.005"))
+        assert load_scenario(scn).replications >= 3
+        return scn
+
+    def _main(self, monkeypatch, cpus, args):
+        """(exit code, stdout, stderr) of cli.main with ``cpus`` CPUs; no
+        worker outlives it."""
+        monkeypatch.setattr(fluid_mod, "_cpus", lambda: cpus)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(args)
+        assert multiprocessing.active_children() == []
+        return code, out.getvalue(), err.getvalue()
+
+    def test_same_output_for_any_cpu_count(self, tmp_path, monkeypatch, coarse_state_dependent):
+        seen = {}
+        for cpus in (1, 2, 3):
+            for command in ("simulate", "compare"):
+                out = tmp_path / f"{command}_{cpus}"
+                code, stdout, stderr = self._main(monkeypatch, cpus, [
+                    command, "--scenario", str(coarse_state_dependent), "--out", str(out),
+                    "--n", "10,30,20"])
+                assert (code, stderr) == (0, "")
+                files = {p.name: p.read_bytes() for p in out.iterdir()}
+                seen.setdefault(command, []).append((stdout, files))
+        assert len(seen["simulate"][0][1]) == 2 * 3 * 5 and seen["simulate"][0][0].count("\n") == 15
+        for command, runs in seen.items():
+            assert runs[1:] == runs[:1] * 2, command
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_first_failing_key_decides_across_workers(self, tmp_path, monkeypatch, command,
+                                                      coarse_state_dependent):
+        # (30, seed+2) fails before (100, seed) in key order, while the
+        # largest n is handed out first: the exit and message are the
+        # serial loop's, and nothing is left behind
+        seed = load_scenario(coarse_state_dependent).seed
+        run_once = cli.run_scenario_once
+
+        def failing(scenario, n, s, *args, **kwargs):
+            if (n, s) == (30, seed + 2):
+                raise FloatingPointError("first key")
+            if (n, s) == (100, seed):
+                raise ValueError("later key")
+            return run_once(scenario, n, s, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_scenario_once", failing)
+        monkeypatch.setattr(harness, "run_scenario_once", failing)
+        results = []
+        for cpus in (1, 2, 3):
+            out = tmp_path / f"out{cpus}"
+            results.append(self._main(monkeypatch, cpus, [
+                command, "--scenario", str(coarse_state_dependent), "--out", str(out),
+                "--n", "30,100", "--quiet"]))
+            assert not out.exists() or not list(out.iterdir())
+        assert results == [(3, "", "numeric failure: first key\n")] * 3
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_worker_errors_keep_their_exit_codes(self, tmp_path, monkeypatch, command,
+                                                 coarse_state_dependent):
+        # a worker runs under cli.main's numpy error state: an overflow
+        # there raises and exits 3; a ValueError there exits 2
+        def overflowing(*args, **kwargs):
+            return np.exp(np.float64(1000.0))
+
+        def invalid(*args, **kwargs):
+            raise ValueError("bad job")
+
+        for job, expected in ((overflowing, (3, "numeric failure: overflow encountered in exp\n")),
+                              (invalid, (2, "error: bad job\n"))):
+            monkeypatch.setattr(cli, "run_scenario_once", job)
+            monkeypatch.setattr(harness, "run_scenario_once", job)
+            out = tmp_path / job.__name__
+            code, _, stderr = self._main(monkeypatch, 2, [
+                command, "--scenario", str(coarse_state_dependent), "--out", str(out),
+                "--n", "10,20", "--quiet"])
+            assert (code, stderr) == expected
+            assert not out.exists() or not list(out.iterdir())
 
 
 # Laws, rates and initial conditions a CLI run draws, a few values each.
