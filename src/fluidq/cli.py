@@ -10,8 +10,9 @@ Common flags: --seed (base-seed override), --n (comma list override),
 Every artifact header carries the scenario hash and the seed, and
 identical inputs produce byte-identical artifacts; on error, partially
 written artifacts are removed.  ``simulate`` and ``compare`` run their (n, seed)
-jobs on forked workers (``harness.run_jobs``); only this process writes and
-prints, in (n, seed) order.  This module owns the artifact format: every
+jobs, and ``solve`` and ``compare`` the defect's row blocks, on forked
+workers (``fluid.run_jobs``); only this process writes and prints, in
+(n, seed) order.  This module owns the artifact format: every
 table goes through ``_table``.
 """
 
@@ -24,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fluid import FluidAccuracyError, FluidSolution, FluidSolverError, solve
-from .harness import ConvergenceReport, convergence_experiment, glivenko_cantelli_check, run_jobs, run_scenario_once
+from .fluid import FluidAccuracyError, FluidSolution, FluidSolverError, run_jobs, solve
+from .harness import ConvergenceReport, convergence_experiment, glivenko_cantelli_check, run_scenario_once
 from .laws import DensityRequiredError
 from .measures import AtomicMeasure
 from .scenario import ScenarioError, load_scenario, scenario_hash

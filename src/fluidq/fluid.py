@@ -33,9 +33,11 @@ time-grid trapezoid right-hand side for both the time march and the
 defect, with one law pass over each pair matrix K_i - K_j: Gc alone until
 a queue forms ((X - 1)^+ k(X) != 0 on a column), then Gc and g together
 (``ServiceLaw.tail_and_pdf``).  The defect needs O(N^2) such passes; it
-takes the rows DEFECT_BLOCK_ROWS at a time and splits each block's rows
-across one thread per CPU, which bounds its memory whatever the CPU count
-and leaves every row's float as a serial call computes it.
+takes the rows DEFECT_BLOCK_ROWS at a time, each block one ``run_jobs``
+job, so every block runs whole and serially in some process and every
+float is the serial one.  ``run_jobs`` spreads independent keyed jobs over
+one forked worker per CPU; the harness and the CLI run their (n, seed)
+simulations on it too.
 
 The tail surface z(t, x) of the limiting residual-work measure is a
 midpoint Stieltjes sum of Gc against the cumulative service-start path
@@ -48,10 +50,8 @@ stored rows and the harness's snapshot measures alike.
 
 from __future__ import annotations
 
-import contextvars
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +65,7 @@ DEFECT_TOL_FACTOR = 1e-6   # accepted defect: factor * (1 + sup|X|)
 PICARD_TOL_FACTOR = 1e-9   # a node's iteration stops at this * (1 + |X|)
 MAX_PICARD_ITERATIONS = 80
 MAX_NODES_PER_STEP = 16    # drain march only while k_sup/k_min is at most this
-DEFECT_BLOCK_ROWS = 256    # rows of the pair matrix in memory at once in the defect
+DEFECT_BLOCK_ROWS = 256    # rows of the pair matrix in one defect job
 MAX_TABLE_ENTRIES = 10**7  # tail_on_grid's lattice table: 80 MB, as the parser's time grid
 
 
@@ -233,8 +233,7 @@ def _weigh(a: np.ndarray, i0: int, last: np.ndarray, dt: float):
     a[:, i0 + 1 :] *= last
 
 
-def _history(ingredients, drain: np.ndarray, coeff: np.ndarray, i0: int, i1: int, dt: float,
-             pool: ThreadPoolExecutor | None = None, parts: int = 1) -> np.ndarray:
+def _history(ingredients, drain: np.ndarray, coeff: np.ndarray, i0: int, i1: int, dt: float) -> np.ndarray:
     """Right-hand side of the count equation on rows i0+1..i1 by the
     time-grid trapezoid rule.  With K = ``drain``, trapezoid weights w and
     coeff the drain coefficient (X - 1)^+ k(X) along the path,
@@ -242,48 +241,29 @@ def _history(ingredients, drain: np.ndarray, coeff: np.ndarray, i0: int, i1: int
         rhs[i] = h1(K_i) + sum_j w_ij lam Gc(K_i - K_j)
                  + sum_j w_ij g(K_i - K_j) coeff_j,
 
-    the last sum a matrix-vector product over the block.  Gc and g come
-    from one law pass over each pair matrix K_i - K_j; where coeff is 0 on
-    columns 0..i1 (no queue yet), the last sum is exactly 0 and the pass
-    takes Gc alone (a NaN coeff is not 0).  With ``pool``, the
-    pair matrices, law passes and Gc sums of ``parts`` row ranges run on
-    its threads; the matrix-vector product, whose summation order follows
-    the matrix's shape, stays one call over the whole block, so every
-    row's float is the one a serial call gives.
+    the last sum a matrix-vector product over the block, whose summation
+    order follows the block's shape.  Gc and g come from one law pass over
+    the pair matrix K_i - K_j; where coeff is 0 on columns 0..i1 (no queue
+    yet), the last sum is exactly 0 and the pass takes Gc alone (a NaN
+    coeff is not 0).
     """
     h1, _, lam, law = ingredients
     queued = bool(np.any(coeff[: i1 + 1] != 0.0))
     now = drain[i0 + 1 : i1 + 1]
-    rows = now.size
-    q = np.arange(rows)
+    q = np.arange(now.size)
     last = np.where(q[None, :] < q[:, None], dt, 0.0)
     np.fill_diagonal(last, 0.5 * dt)
-    tail_sums = np.empty(rows)
-    gw = np.empty((rows, i1 + 1)) if queued else None
-
-    def fill(r0: int, r1: int):
-        d = now[r0:r1, None] - drain[None, : i1 + 1]
-        np.maximum(d, 0.0, out=d)
-        h2, g = law.tail_and_pdf(d) if queued else (law.tail(d), None)
-        del d
-        h2 *= lam
-        _weigh(h2, i0, last[r0:r1], dt)
-        tail_sums[r0:r1] = h2.sum(axis=1)
-        del h2
-        if queued:
-            _weigh(g, i0, last[r0:r1], dt)
-            gw[r0:r1] = g
-
-    if pool is None:
-        fill(0, rows)
-    else:
-        step = -(-rows // parts)
-        futures = [pool.submit(contextvars.copy_context().run, fill, r0, min(r0 + step, rows))
-                   for r0 in range(0, rows, step)]
-        for f in futures:
-            f.result()
-    rhs = h1(now) + tail_sums
-    return rhs + gw @ coeff[: i1 + 1] if queued else rhs
+    d = now[:, None] - drain[None, : i1 + 1]
+    np.maximum(d, 0.0, out=d)
+    h2, g = law.tail_and_pdf(d) if queued else (law.tail(d), None)
+    del d
+    h2 *= lam
+    _weigh(h2, i0, last, dt)
+    rhs = h1(now) + h2.sum(axis=1)
+    if not queued:
+        return rhs
+    _weigh(g, i0, last, dt)
+    return rhs + g @ coeff[: i1 + 1]
 
 
 def solve_count_path(params: FluidParams, start: str = "constant", march: str | None = None):
@@ -437,18 +417,54 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+_pool_work = None  # (fn, keys, numpy error state) for the forked workers
+
+
+def _pool_job(i: int):
+    fn, keys, errstate = _pool_work
+    with np.errstate(**errstate):
+        return fn(keys[i])
+
+
+def run_jobs(fn, keys) -> list:
+    """``[fn(key) for key in keys]`` on one forked worker per CPU (in process
+    for one CPU or one key).  Workers import nothing again, see the caller's
+    modules, arrays and numpy error state, and get only a key's index.  A
+    key's first entry sizes its job, so keys go out largest first: n for an
+    (n, seed) simulation, i0 for a defect block (a later block has more
+    columns).  Results are collected in key order, so the first failing
+    key raises, as in a serial loop."""
+    global _pool_work
+    workers = min(_cpus(), len(keys))
+    if workers <= 1:
+        return [fn(key) for key in keys]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    _pool_work = (fn, keys, np.geterr())
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        order = sorted(range(len(keys)), key=lambda i: -keys[i][0])
+        futures = {i: pool.submit(_pool_job, i) for i in order}
+        return [futures[i].result() for i in range(len(keys))]
+    finally:
+        pool.shutdown(cancel_futures=True)
+        _pool_work = None
+
+
 def fixed_point_defect(params: FluidParams, count: np.ndarray) -> float:
     """Sup-norm defect of a grid path in the count equation, with the
     time-grid trapezoid quadrature of the time march.  A solution must
     pass DEFECT_TOL_FACTOR * (1 + sup|X|); a visibly perturbed path must
     not.
 
-    The rows are taken DEFECT_BLOCK_ROWS at a time, one ``_history`` call
-    each (g only once a queue has formed by the block's last row), with
-    the block's rows split across one thread per CPU (numpy's and scipy's
-    loops release the GIL).  The block size does not depend on the CPU
-    count, so neither do the floats nor the peak memory.  A NaN in any
-    row makes the defect NaN, which no tolerance accepts."""
+    The rows are taken DEFECT_BLOCK_ROWS at a time, each block one
+    ``run_jobs`` job with key (i0,) that returns its max |X - rhs| from
+    one ``_history`` call (g only once a queue has formed by the block's
+    last row).  The floats do not depend on the CPU count; each process
+    holds at most one block's pair matrices, so the peak across processes
+    is up to one block per worker.  A NaN in any row makes the defect NaN,
+    which no tolerance accepts."""
     count = np.asarray(count, dtype=float)
     n = count.size - 1
     if n != params.steps:
@@ -458,14 +474,15 @@ def fixed_point_defect(params: FluidParams, count: np.ndarray) -> float:
     h1, drain_coeff = ingredients[:2]
     drain = cumulative_drain(count, params.rate, dt)
     coeff = drain_coeff(count)
-    worst = abs(count[0] - float(h1(np.zeros(1))[0]))
-    workers = min(_cpus(), DEFECT_BLOCK_ROWS)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for i0 in range(0, n, DEFECT_BLOCK_ROWS):
-            i1 = min(i0 + DEFECT_BLOCK_ROWS, n)
-            rhs = _history(ingredients, drain, coeff, i0, i1, dt, pool, workers)
-            worst = np.maximum(worst, np.max(np.abs(count[i0 + 1 : i1 + 1] - rhs)))
-    return float(worst)
+
+    def block(key):
+        i0 = key[0]
+        i1 = min(i0 + DEFECT_BLOCK_ROWS, n)
+        return np.max(np.abs(count[i0 + 1 : i1 + 1] - _history(ingredients, drain, coeff, i0, i1, dt)))
+
+    head = abs(count[0] - float(h1(np.zeros(1))[0]))
+    blocks = run_jobs(block, [(i0,) for i0 in range(0, n, DEFECT_BLOCK_ROWS)])
+    return float(np.maximum.reduce([head, *blocks]))
 
 
 def defect_tolerance(count: np.ndarray) -> float:
@@ -560,7 +577,10 @@ def solve(params: FluidParams, x_grid=None) -> FluidSolution:
     if x_grid is None:
         x_grid = np.arange(0.0, 10.0 + 1e-12, 0.05)
     x_grid = np.asarray(x_grid, dtype=float)
+    dt = params.dt_effective
     count, diag = solve_count_path(params)
+    # refuse an oversized tail table before paying for the defect
+    _drain_lattice(params, x_grid, float(cumulative_drain(count, params.rate, dt)[-1]))
     diag.defect = fixed_point_defect(params, count)
     if diag.march == "drain" and not diag.defect <= defect_tolerance(count):
         # the drain path solves another quadrature of the same equation and
@@ -572,7 +592,6 @@ def solve(params: FluidParams, x_grid=None) -> FluidSolution:
             f"defect {diag.defect:.3g} above tolerance {defect_tolerance(count):.3g}"
         )
     times = params.times
-    dt = params.dt_effective
     drained = cumulative_drain(count, params.rate, dt)
     queue, started = queue_and_starts(count, params.arrival_rate, times)
 

@@ -6,9 +6,10 @@ a snapshot is the row of ``fluid.tail_on_grid`` at the snapshot's grid index,
 differenced into cell-midpoint atoms by ``discretize_fluid_measure``.
 
 All stochastic outputs are deterministic functions of the seeds handed in.
-The (n, seed) runs are independent jobs that ``run_jobs`` spreads over one
-forked worker per CPU and returns in key order, so no row depends on the
-CPU count.  Artifact formatting lives in the cli module.
+The (n, seed) runs are independent jobs that ``fluid.run_jobs``, the one
+fan-out of the package, spreads over one forked worker per CPU and returns
+in key order, so no row depends on the CPU count.  Artifact formatting
+lives in the cli module.
 """
 
 from __future__ import annotations
@@ -19,42 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fluid as fluid_mod
+from .fluid import run_jobs
 from .laws import DensityRequiredError, ServiceLaw
 from .measures import AtomicMeasure, prohorov
 from .simulate import Simulator, init, sample_initial
-
-
-_pool_work = None  # (fn, keys, numpy error state) for the forked workers
-
-
-def _pool_job(i: int):
-    fn, keys, errstate = _pool_work
-    with np.errstate(**errstate):
-        return fn(keys[i])
-
-
-def run_jobs(fn, keys) -> list:
-    """``[fn(key) for key in keys]`` over (n, seed) keys on one forked worker
-    per CPU (in process for one).  Workers import nothing again, see the
-    caller's modules and numpy error state, and get only a key's index.
-    Keys go out largest n first; results are collected in key order, so the
-    first failing key raises, as in a serial loop."""
-    global _pool_work
-    workers = min(fluid_mod._cpus(), len(keys))
-    if workers <= 1:
-        return [fn(key) for key in keys]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    _pool_work = (fn, keys, np.geterr())
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        order = sorted(range(len(keys)), key=lambda i: -keys[i][0])
-        futures = {i: pool.submit(_pool_job, i) for i in order}
-        return [futures[i].result() for i in range(len(keys))]
-    finally:
-        pool.shutdown(cancel_futures=True)
-        _pool_work = None
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -465,30 +464,23 @@ class TestDefect:
         blocks = [(i0, min(i0 + fm.DEFECT_BLOCK_ROWS, n)) for i0 in range(0, n, fm.DEFECT_BLOCK_ROWS)]
         assert len(blocks) >= 2
         rows = np.concatenate([fm._history(ing, drain, coeff, i0, i1, dt) for i0, i1 in blocks])
-        # the threads split each block's rows; every row is the serial float
-        with fm.ThreadPoolExecutor(max_workers=3) as pool:
-            split = np.concatenate([fm._history(ing, drain, coeff, i0, i1, dt, pool, 3)
-                                    for i0, i1 in blocks])
-        assert np.array_equal(split, rows)
         defect = max(head, float(np.max(np.abs(x[1:] - rows))))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often: a lost row write would show
-        try:
-            for cpus in (1, 2, 5):
-                monkeypatch.setattr(fm, "_cpus", lambda: cpus)
-                assert fm.fixed_point_defect(p, x) == defect
-        finally:
-            sys.setswitchinterval(interval)
+        for cpus in (1, 2, 5):
+            monkeypatch.setattr(fm, "_cpus", lambda: cpus)
+            assert fm.fixed_point_defect(p, x) == defect
         # one call over all rows sums in another order (the matrix-vector
         # product follows the matrix's shape), so rows agree to rounding
         whole = fm._history(ing, drain, coeff, 0, n, dt)
         assert np.max(np.abs(whole - rows)) <= 1e-14
         assert abs(max(head, float(np.max(np.abs(x[1:] - whole)))) - defect) <= 1e-14
 
-    def test_density_evaluated_only_once_a_queue_forms(self, scenario_dir):
+    def test_density_evaluated_only_once_a_queue_forms(self, scenario_dir, monkeypatch):
         # the density term carries (X - 1)^+ k(X), so a path that never
-        # reaches 1 needs no density on any pair matrix or march node
+        # reaches 1 needs no density on any pair matrix or march node;
+        # one CPU keeps the defect's calls in this process, where they are seen
         from fluidq.scenario import load_scenario
+
+        monkeypatch.setattr(fm, "_cpus", lambda: 1)
 
         def counted(name):
             p = dataclasses.replace(load_scenario(scenario_dir / f"{name}.scn"), dt=1e-2).fluid_params()
@@ -522,16 +514,27 @@ class TestDefect:
         fm.fixed_point_defect(p, x)
         assert calls
 
-    def test_defect_threads_keep_the_callers_errstate(self):
-        # the row sums overflow inside the pool's threads; the caller's
+    def test_defect_workers_keep_the_callers_errstate(self, monkeypatch):
+        # the row sums overflow inside the forked workers; the caller's
         # errstate must reach them, as it does in cli.main
+        monkeypatch.setattr(fm, "_cpus", lambda: 2)
         p = params_for(1e308, horizon=3.0, dt=1e-2, service=make_exponential(0.01))
+        assert p.steps > fm.DEFECT_BLOCK_ROWS  # two blocks, so two workers
         x = np.zeros(p.steps + 1)
         with np.errstate(over="ignore"):
             assert fm.fixed_point_defect(p, x) == math.inf
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError):
                 fm.fixed_point_defect(p, x)
+
+    def test_no_worker_outlives_the_defect(self, underloaded, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.setattr(fm, "_cpus", lambda: 2)
+        p, x, _ = underloaded
+        assert p.steps > fm.DEFECT_BLOCK_ROWS
+        assert fm.fixed_point_defect(p, x) <= fm.defect_tolerance(x)
+        assert multiprocessing.active_children() == []
 
     def test_nan_row_gives_nan_defect(self, scenario_dir):
         # a NaN anywhere in the path makes rows NaN; the defect keeps them

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fluidq import fluid as fm
-from fluidq import harness
 from fluidq.cli import report_to_text, summary_to_text
 from fluidq.harness import (
     convergence_experiment,
@@ -65,7 +64,7 @@ class TestRunJobs:
     def test_results_in_key_order_from_other_processes(self, monkeypatch):
         monkeypatch.setattr(fm, "_cpus", lambda: 2)
         keys = [(1, 0), (3, 0), (2, 1)]  # handed out (3, 0) first
-        results = harness.run_jobs(lambda key: (key, os.getpid()), keys)
+        results = fm.run_jobs(lambda key: (key, os.getpid()), keys)
         assert [key for key, _ in results] == keys
         assert os.getpid() not in {pid for _, pid in results}
 
@@ -77,9 +76,9 @@ class TestRunJobs:
             return float(np.exp(np.float64(1000.0)))
 
         with np.errstate(over="ignore"):
-            assert harness.run_jobs(overflow, keys) == [np.inf, np.inf]
+            assert fm.run_jobs(overflow, keys) == [np.inf, np.inf]
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            harness.run_jobs(overflow, keys)
+            fm.run_jobs(overflow, keys)
 
 
 class TestConvergence:

@@ -479,13 +479,10 @@ class TestCli:
         assert final[0] == "0.5"
         assert int(final[1]) >= 1  # two deterministic arrivals happened by then
 
-    @pytest.mark.parametrize("dt", ["0.1", "0.0001"])
-    def test_oversized_tail_table_refused(self, tmp_path, capsys, dt):
-        # the lattice table would span x_max/(k_min*dt) entries; it is
-        # refused before it is allocated, with the three keys named
+    def _refused_huge_table(self, tmp_path, capsys, dt, horizon):
         scn = tmp_path / "huge.scn"
         scn.write_text("name = huge\nlambda = 1.2\nservice = lognormal mu=0.0 sigma=0.5\n"
-                       "rate = capped_linear base=0.5 slope=1.0 cap=2.0\nhorizon = 0.1\n"
+                       f"rate = capped_linear base=0.5 slope=1.0 cap=2.0\nhorizon = {horizon}\n"
                        f"dt = {dt}\nx_max = 1e308\nx_step = 1e304\nsnapshot_times = 0.1\n")
         out = tmp_path / "out"
         assert run_cli(["solve", "--scenario", str(scn), "--out", str(out), "--quiet"]) == 2
@@ -493,6 +490,20 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: x_max 1e+308 at x_step 1e+304 and dt {float(dt)!r} needs a tail table of "
             f"more than {fluid_mod.MAX_TABLE_ENTRIES} entries; lower x_max or raise dt\n")
+
+    @pytest.mark.parametrize("dt", ["0.1", "0.0001"])
+    def test_oversized_tail_table_refused(self, tmp_path, capsys, dt):
+        # the lattice table would span x_max/(k_min*dt) entries; it is
+        # refused before it is allocated, with the three keys named
+        self._refused_huge_table(tmp_path, capsys, dt, "0.1")
+
+    def test_oversized_tail_table_refused_before_the_defect(self, tmp_path, capsys, monkeypatch):
+        # the count path's drain sizes the table, so the O(N^2) defect never runs
+        def defect(params, count):
+            raise AssertionError("the defect ran before the refusal")
+
+        monkeypatch.setattr(fluid_mod, "fixed_point_defect", defect)
+        self._refused_huge_table(tmp_path, capsys, "0.001", "1.0")
 
     def test_console_entry_point(self, tmp_path, tiny_scenario):
         out = tmp_path / "out"
