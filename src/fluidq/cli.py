@@ -5,7 +5,7 @@
     fluidq compare  --scenario s.scn --out dir    scaled-sim vs fluid gap report
     fluidq gc-check --scenario s.scn --out dir    block empirical-measure deviations
 
-Common flags: --seed (base-seed override), --n (comma list override),
+Common flags: --seed (base-seed override, >= 0), --n (comma list override),
 --quiet.  Exit codes: 0 ok, 2 configuration error, 3 numeric failure.
 Every artifact header carries the scenario hash and the seed, and
 identical inputs produce byte-identical artifacts; on error, partially
@@ -270,6 +270,9 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
     else:
         n_list = list(scenario.n_list)
+    if args.seed is not None and args.seed < 0:
+        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return EXIT_CONFIG
     base_seed = scenario.seed if args.seed is None else args.seed
     seeds = [base_seed + r for r in range(scenario.replications)]
 

@@ -173,19 +173,14 @@ class FluidSolution:
     diagnostics: SolveDiagnostics
 
 
-def _ingredients(params: FluidParams):
-    """(h1, drain coefficient, lam, service law)."""
-    tail_f = params.initial_tail
-    svc = params.service
-    q0 = params.initial_queue
+def _h1(params: FluidParams, y):
+    """h1 = F + q0*Gc at drain ``y``."""
+    return params.initial_tail(y) + params.initial_queue * params.service.tail(y)
 
-    def h1(y):
-        return tail_f(y) + q0 * svc.tail(y)
 
-    def drain_coeff(x):
-        return np.maximum(x - 1.0, 0.0) * params.rate(x)
-
-    return h1, drain_coeff, params.arrival_rate, svc
+def _drain_coeff(params: FluidParams, x):
+    """The drain coefficient (X - 1)^+ k(X) at count ``x``."""
+    return np.maximum(x - 1.0, 0.0) * params.rate(x)
 
 
 def march_kind(rate: RateFunction) -> str:
@@ -233,10 +228,11 @@ def _weigh(a: np.ndarray, i0: int, last: np.ndarray, dt: float):
     a[:, i0 + 1 :] *= last
 
 
-def _history(ingredients, drain: np.ndarray, coeff: np.ndarray, i0: int, i1: int, dt: float) -> np.ndarray:
-    """Right-hand side of the count equation on rows i0+1..i1 by the
-    time-grid trapezoid rule.  With K = ``drain``, trapezoid weights w and
-    coeff the drain coefficient (X - 1)^+ k(X) along the path,
+def _history(params, drain: np.ndarray, coeff: np.ndarray, i0: int, i1: int, dt: float) -> np.ndarray:
+    """Right-hand side of the count equation for ``params`` on rows
+    i0+1..i1 by the time-grid trapezoid rule.  With K = ``drain``,
+    trapezoid weights w and coeff the drain coefficient (X - 1)^+ k(X)
+    along the path (``_drain_coeff``),
 
         rhs[i] = h1(K_i) + sum_j w_ij lam Gc(K_i - K_j)
                  + sum_j w_ij g(K_i - K_j) coeff_j,
@@ -247,7 +243,7 @@ def _history(ingredients, drain: np.ndarray, coeff: np.ndarray, i0: int, i1: int
     yet), the last sum is exactly 0 and the pass takes Gc alone (a NaN
     coeff is not 0).
     """
-    h1, _, lam, law = ingredients
+    law = params.service
     queued = bool(np.any(coeff[: i1 + 1] != 0.0))
     now = drain[i0 + 1 : i1 + 1]
     q = np.arange(now.size)
@@ -257,9 +253,9 @@ def _history(ingredients, drain: np.ndarray, coeff: np.ndarray, i0: int, i1: int
     np.maximum(d, 0.0, out=d)
     h2, g = law.tail_and_pdf(d) if queued else (law.tail(d), None)
     del d
-    h2 *= lam
+    h2 *= params.arrival_rate
     _weigh(h2, i0, last, dt)
-    rhs = h1(now) + h2.sum(axis=1)
+    rhs = _h1(params, now) + h2.sum(axis=1)
     if not queued:
         return rhs
     _weigh(g, i0, last, dt)
@@ -333,9 +329,8 @@ def _drain_march(params: FluidParams, start: str, diag: SolveDiagnostics) -> np.
     lam = params.arrival_rate
     du = diag.du
     nodes = int(math.ceil(params.steps * rate.bound / rate.floor)) + 2
-    h1 = _ingredients(params)[0]
     u = du * np.arange(nodes + 1)
-    h1_u = h1(u)
+    h1_u = _h1(params, u)
     gc_u, g_u = params.service.tail_and_pdf(u)
     gc_rev = np.ascontiguousarray(gc_u[::-1])  # gc_rev[nodes - p] = Gc(p du)
     g_rev = np.ascontiguousarray(g_u[::-1])
@@ -382,27 +377,25 @@ def _time_march(params: FluidParams, start: str, x: np.ndarray, diag: SolveDiagn
     dt = params.dt_effective
     times = params.times
     rate = params.rate
-    ingredients = _ingredients(params)
-    h1, drain_coeff = ingredients[:2]
     k_all = np.asarray(rate(x), dtype=float)  # rewritten as steps solve
     drain = np.zeros(x.size)
-    coeff = drain_coeff(x)
+    coeff = _drain_coeff(params, x)
 
     def follow(v, i):
         """Rate, drain and drain coefficient at row i along X_i = v."""
         k_all[i] = rate(v)
         drain[i] = drain[i - 1] + 0.5 * dt * (k_all[i - 1] + k_all[i])
-        coeff[i] = drain_coeff(v)
+        coeff[i] = _drain_coeff(params, v)
 
     def update(v, i):
         follow(v, i)
-        return float(_history(ingredients, drain, coeff, i - 1, i, dt)[0])
+        return float(_history(params, drain, coeff, i - 1, i, dt)[0])
 
     for i in range(1, x.size):
         if start == "constant":
             guess = x[i - 1]
         else:
-            guess = float(h1(np.array([drain[i - 1] + float(rate(x[i - 1])) * dt]))[0])
+            guess = float(_h1(params, np.array([drain[i - 1] + float(rate(x[i - 1])) * dt]))[0])
         x[i], it = _fixed_point(
             lambda v: update(v, i), guess, f"on [{times[i - 1]:.6g}, {times[i]:.6g}]"
         )
@@ -417,23 +410,23 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-_pool_work = None  # (fn, keys, numpy error state) for the forked workers
+_pool_work = None  # (fn, keys) for the forked workers
 
 
 def _pool_job(i: int):
-    fn, keys, errstate = _pool_work
-    with np.errstate(**errstate):
-        return fn(keys[i])
+    fn, keys = _pool_work
+    return fn(keys[i])
 
 
 def run_jobs(fn, keys) -> list:
     """``[fn(key) for key in keys]`` on one forked worker per CPU (in process
-    for one CPU or one key).  Workers import nothing again, see the caller's
-    modules, arrays and numpy error state, and get only a key's index.  A
-    key's first entry sizes its job, so keys go out largest first: n for an
-    (n, seed) simulation, i0 for a defect block (a later block has more
-    columns).  Results are collected in key order, so the first failing
-    key raises, as in a serial loop."""
+    for one CPU or one key).  The fork context starts every worker from
+    the calling thread at the first ``submit``, so workers import nothing
+    again, see the caller's modules, arrays and numpy error state, and get
+    only a key's index.  A key's first entry sizes its job, so keys go out
+    largest first: n for an (n, seed) simulation, i0 for a defect block (a
+    later block has more columns).  Results are collected in key order, so
+    the first failing key raises, as in a serial loop."""
     global _pool_work
     workers = min(_cpus(), len(keys))
     if workers <= 1:
@@ -441,7 +434,7 @@ def run_jobs(fn, keys) -> list:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    _pool_work = (fn, keys, np.geterr())
+    _pool_work = (fn, keys)
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
         order = sorted(range(len(keys)), key=lambda i: -keys[i][0])
@@ -470,17 +463,15 @@ def fixed_point_defect(params: FluidParams, count: np.ndarray) -> float:
     if n != params.steps:
         raise ValueError("path length does not match the parameter grid")
     dt = params.dt_effective
-    ingredients = _ingredients(params)
-    h1, drain_coeff = ingredients[:2]
     drain = cumulative_drain(count, params.rate, dt)
-    coeff = drain_coeff(count)
+    coeff = _drain_coeff(params, count)
 
     def block(key):
         i0 = key[0]
         i1 = min(i0 + DEFECT_BLOCK_ROWS, n)
-        return np.max(np.abs(count[i0 + 1 : i1 + 1] - _history(ingredients, drain, coeff, i0, i1, dt)))
+        return np.max(np.abs(count[i0 + 1 : i1 + 1] - _history(params, drain, coeff, i0, i1, dt)))
 
-    head = abs(count[0] - float(h1(np.zeros(1))[0]))
+    head = abs(count[0] - float(_h1(params, np.zeros(1))[0]))
     blocks = run_jobs(block, [(i0,) for i0 in range(0, n, DEFECT_BLOCK_ROWS)])
     return float(np.maximum.reduce([head, *blocks]))
 

@@ -100,24 +100,20 @@ def run_scenario_once(scenario, n: int, seed: int, grid=None, snapshot_times=(),
     """One raw simulation run of the scenario at scale n.
 
     The initial condition is sampled from the scenario's initial tail and
-    queue mass; arrival and service streams derive from ``seed`` alone so a
-    fixed seed couples the draws across the n ladder.  The event log and
-    customer records are kept only with ``record``.
+    queue mass (an empty start draws nothing); arrival and service streams
+    derive from ``seed`` alone so a fixed seed couples the draws across the
+    n ladder.  The event log and customer records are kept only with
+    ``record``.
     """
     service = scenario.build_service()
     state_rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
-    tail0 = scenario.build_initial_tail()
-    if tail0.total_mass == 0.0 and scenario.q0 == 0.0:
-        state = init(n)
-    else:
-        residuals, reqs = sample_initial(tail0, scenario.q0, n, service, state_rng)
-        state = init(n, residuals=residuals, queue_requirements=reqs)
+    residuals, reqs = sample_initial(scenario.build_initial_tail(), scenario.q0, n, service, state_rng)
     sim = Simulator(
         n,
         service,
         scenario.build_rate(),
         arrivals=scenario.build_arrivals(),
-        state=state,
+        state=init(n, residuals=residuals, queue_requirements=reqs),
         seed=seed,
     )
     return sim.run(scenario.horizon, grid=grid, snapshot_times=snapshot_times, record=record)
@@ -218,7 +214,7 @@ def glivenko_cantelli_check(
     m_lattice = np.unique(np.linspace(-m_half + 1, m_half - 1, m_points).astype(int))
     ell_lattice = np.linspace(0.0, block_span, ell_points)
     target_geq = np.asarray(law.tail_geq(x_grid), dtype=float)
-    target_gt = np.asarray(law.tail_gt(x_grid), dtype=float)
+    target_gt = np.asarray(law.tail(x_grid), dtype=float)
     worst = 0.0
     for m in m_lattice:
         start = m + m_half  # array position of index m+1

@@ -3,10 +3,12 @@
 A :class:`ServiceLaw` bundles exactly the analytic data the fluid equations
 consume (tail, density with its sup and Lipschitz constant) with a
 seedable sampler for the event-driven simulator.  Each law and each rate
-kind states its formula once, in its constructor.  Constants are supplied
-in closed form by each constructor, never estimated: the fluid solver reads
-a rate's floor and bound to choose its march and drain step, and bounds its
-quadrature slack with the density bound.
+kind states its formula once, in its constructor; the scenario module's
+law table maps the kind names of a scenario file to these constructors.
+Constants are supplied in closed form by each constructor, never
+estimated: the fluid solver reads a rate's floor and bound to choose its
+march and drain step, and bounds its quadrature slack with the density
+bound.
 """
 
 from __future__ import annotations
@@ -76,12 +78,6 @@ class ServiceLaw:
         if self.atom is None:
             return self.tail(x)
         return np.where(np.asarray(x, dtype=float) <= self.atom, 1.0, 0.0)
-
-    def tail_gt(self, x):
-        """P(v > x)."""
-        if self.atom is None:
-            return self.tail(x)
-        return np.where(np.asarray(x, dtype=float) < self.atom, 1.0, 0.0)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return _positive(self._sampler, rng, size)
@@ -212,14 +208,6 @@ def make_deterministic(value: float) -> ServiceLaw:
     )
 
 
-SERVICE_KINDS = {
-    "exponential": make_exponential,
-    "lognormal": make_lognormal,
-    "uniform": make_uniform,
-    "deterministic": make_deterministic,
-}
-
-
 # Gap samplers at unit scale, keyed by arrival kind: (rng, mean, size) ->
 # gaps with the given mean.
 ARRIVAL_KINDS = {
@@ -332,15 +320,3 @@ def table_rate(xs, ks) -> RateFunction:
         floor=min(k(0.0), float(np.min(ks[xs >= 0.0], initial=np.inf))),
         scalar=k,
     )
-
-
-def _table_rate_from_knots(knots) -> RateFunction:
-    xs, ks = zip(*knots)
-    return table_rate(xs, ks)
-
-
-RATE_KINDS = {
-    "constant": constant_rate,
-    "capped_linear": capped_linear_rate,
-    "table": _table_rate_from_knots,
-}

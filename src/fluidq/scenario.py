@@ -21,13 +21,15 @@ Schema (keys are lowercase, one ``key = value`` per line, ``#`` comments):
     x_max, x_step   default 10.0, 0.05; the x-grid for tail comparisons
     n_list          default 10,100,1000
     replications    default 3
-    seed            default 12345; base seed, replication r uses seed + r
+    seed            default 12345, >= 0; base seed, replication r uses seed + r
     snapshot_times  default T/5, T/2, T; each must lie on the time grid,
                     ``round(T/dt)`` equal steps on [0, T], to within 1e-9
 
 Every number, law parameters and x:y pairs included, must be finite;
 ``replications`` and ``seed`` must be integers.  ``T/dt`` may not exceed
-10^7 steps, ``x_max/x_step`` 10^5 cells, and ``replications`` 10^6.
+10^7 steps, ``x_max/x_step`` 10^5 cells, and ``replications`` 10^6.  The
+law kinds, with their parameters and builders, are listed once, in the
+``_LAWS`` table below.
 
 Unknown keys are rejected with their line number.  Round trip holds:
 parsing the canonical serialization reproduces the scenario exactly.
@@ -42,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fluid import FluidParams, check_initial_consistency, time_grid
-from .laws import ARRIVAL_KINDS, RATE_KINDS, SERVICE_KINDS, make_arrivals
+from .laws import (ARRIVAL_KINDS, capped_linear_rate, constant_rate, make_arrivals, make_deterministic,
+                   make_exponential, make_lognormal, make_uniform, table_rate)
 from .measures import TailFunction
 
 
@@ -68,25 +71,33 @@ _DEFAULTS = {
 
 _KNOWN_KEYS = {*_REQUIRED, *_DEFAULTS, "snapshot_times"}
 
-# Law keys: kind -> parameter names, in the order the canonical text
-# writes them.  The parameters in _PAIR_PARAMS are x:y lists, the rest
-# are numbers.
+
+def _scaled_tail(sc, mass) -> TailFunction:
+    grid = sc.x_grid()
+    return TailFunction(grid, mass * np.asarray(sc.build_service().tail(grid)))
+
+
+# Law keys: kind -> (parameter names, builder), the one table of law
+# kinds.  The names are in the order the canonical text writes them; the
+# parameters in _PAIR_PARAMS are x:y lists, the rest are numbers.  A
+# builder takes the parameters by name, an initial-kind builder the
+# scenario first, for its x-grid and service law.
 _LAWS = {
     "service": {
-        "exponential": ("rate",),
-        "lognormal": ("mu", "sigma"),
-        "uniform": ("a", "b"),
-        "deterministic": ("value",),
+        "exponential": (("rate",), make_exponential),
+        "lognormal": (("mu", "sigma"), make_lognormal),
+        "uniform": (("a", "b"), make_uniform),
+        "deterministic": (("value",), make_deterministic),
     },
     "rate": {
-        "constant": ("value",),
-        "capped_linear": ("base", "slope", "cap"),
-        "table": ("knots",),
+        "constant": (("value",), constant_rate),
+        "capped_linear": (("base", "slope", "cap"), capped_linear_rate),
+        "table": (("knots",), lambda knots: table_rate(*zip(*knots))),
     },
     "initial": {
-        "empty": (),
-        "scaled_tail": ("mass",),
-        "grid": ("points",),
+        "empty": ((), lambda sc: TailFunction.zero()),
+        "scaled_tail": (("mass",), _scaled_tail),
+        "grid": (("points",), lambda sc, points: TailFunction(*zip(*points))),
     },
 }
 _PAIR_PARAMS = {"knots", "points"}
@@ -124,26 +135,16 @@ class Scenario:
     # -- builders ----------------------------------------------------------
 
     def build_service(self):
-        return SERVICE_KINDS[self.service_kind](**dict(self.service_params))
+        return _LAWS["service"][self.service_kind][1](**dict(self.service_params))
 
     def build_arrivals(self):
         return make_arrivals(self.arrival_kind, self.lam)
 
     def build_rate(self):
-        return RATE_KINDS[self.rate_kind](**dict(self.rate_params))
+        return _LAWS["rate"][self.rate_kind][1](**dict(self.rate_params))
 
     def build_initial_tail(self) -> TailFunction:
-        params = dict(self.initial_params)
-        if self.initial_kind == "empty":
-            return TailFunction.zero()
-        if self.initial_kind == "scaled_tail":
-            grid = self.x_grid()
-            service = self.build_service()
-            return TailFunction(grid, params["mass"] * np.asarray(service.tail(grid)))
-        if self.initial_kind == "grid":
-            xs, vs = zip(*params["points"])
-            return TailFunction(xs, vs)
-        raise ScenarioError(f"unknown initial kind '{self.initial_kind}'")
+        return _LAWS["initial"][self.initial_kind][1](self, **dict(self.initial_params))
 
     def x_grid(self) -> np.ndarray:
         return np.arange(0.0, self.x_max + 0.5 * self.x_step, self.x_step)
@@ -199,7 +200,7 @@ def _parse_law(key, text, line):
         if name in given:
             raise ScenarioError(f"line {line}: duplicate parameter '{name}' in {key}")
         given[name] = value
-    names = kinds[kind]
+    names = kinds[kind][0]
     if set(given) != set(names):
         wanted = ", ".join(f"{name}=" for name in names) or "no parameters"
         raise ScenarioError(f"line {line}: {key} '{kind}' needs {wanted}")
@@ -283,7 +284,7 @@ def parse_scenario(text: str) -> Scenario:
     replications = integer("replications", 1)
     if replications > _MAX_REPLICATIONS:
         fail("replications", f"replications may not exceed {_MAX_REPLICATIONS}")
-    seed = integer("seed")
+    seed = integer("seed", 0)
 
     if "snapshot_times" in raw:
         snapshot_times = tuple(

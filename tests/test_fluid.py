@@ -48,7 +48,7 @@ def queue_mid_block_path():
     assert np.max(x) < 0.9
     x = x + 1e-3 * np.sin(7.0 * p.times)
     x[400:] += 0.5
-    first = int(np.argmax(fm._ingredients(p)[1](x) > 0.0))
+    first = int(np.argmax(fm._drain_coeff(p, x) > 0.0))
     assert first == 400 and fm.DEFECT_BLOCK_ROWS < first < 2 * fm.DEFECT_BLOCK_ROWS
     return p, x
 
@@ -457,20 +457,19 @@ class TestDefect:
             assert diag.march == ("drain" if case == "state_dependent" else "time")
             x = x + 1e-4 * np.sin(7.0 * p.times)
         n, dt = p.steps, p.dt_effective
-        ing = fm._ingredients(p)
         drain = fm.cumulative_drain(x, p.rate, dt)
-        coeff = ing[1](x)
-        head = abs(x[0] - float(ing[0](np.zeros(1))[0]))
+        coeff = fm._drain_coeff(p, x)
+        head = abs(x[0] - float(fm._h1(p, np.zeros(1))[0]))
         blocks = [(i0, min(i0 + fm.DEFECT_BLOCK_ROWS, n)) for i0 in range(0, n, fm.DEFECT_BLOCK_ROWS)]
         assert len(blocks) >= 2
-        rows = np.concatenate([fm._history(ing, drain, coeff, i0, i1, dt) for i0, i1 in blocks])
+        rows = np.concatenate([fm._history(p, drain, coeff, i0, i1, dt) for i0, i1 in blocks])
         defect = max(head, float(np.max(np.abs(x[1:] - rows))))
         for cpus in (1, 2, 5):
             monkeypatch.setattr(fm, "_cpus", lambda: cpus)
             assert fm.fixed_point_defect(p, x) == defect
         # one call over all rows sums in another order (the matrix-vector
         # product follows the matrix's shape), so rows agree to rounding
-        whole = fm._history(ing, drain, coeff, 0, n, dt)
+        whole = fm._history(p, drain, coeff, 0, n, dt)
         assert np.max(np.abs(whole - rows)) <= 1e-14
         assert abs(max(head, float(np.max(np.abs(x[1:] - whole)))) - defect) <= 1e-14
 

@@ -126,7 +126,7 @@ class TestServiceLaws:
     def test_point_mass_tails(self):
         law = make_deterministic(0.5)
         assert float(law.tail_geq(0.5)) == 1.0
-        assert float(law.tail_gt(0.5)) == 0.0
+        assert float(law.tail(0.5)) == 0.0
         assert float(law.tail_geq(0.51)) == 0.0
 
 

@@ -131,6 +131,7 @@ BAD_NUMBER_LINES = [
     "dt = 1e-320",  # T/dt overflows the step count
     "replications = 2.7",
     "seed = 4.9",
+    "seed = -1",
     "replications = 1e9",  # the CLI would build a billion seeds
     "x_step = 1e-9",  # a 1e10-point x-grid
     "x_max = 1e9",
@@ -359,6 +360,14 @@ class TestCli:
                         str(out), "--seed", "7", "--n", "3", "--quiet"]) == 0
         assert (out / "trajectory_n3_seed7.tsv").exists()
         assert not (out / "trajectory_n5_seed99.tsv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "solve", "compare", "gc-check"])
+    def test_negative_seed_override_is_config_error(self, tmp_path, tiny_scenario, command, capsys):
+        out = tmp_path / "out"
+        assert run_cli([command, "--scenario", str(tiny_scenario), "--out", str(out),
+                        "--seed", "-5", "--quiet"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -5\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("line", BAD_NUMBER_LINES)
     def test_bad_number_is_config_error_naming_its_line(self, tmp_path, line):
