@@ -8,8 +8,9 @@
 Common flags: --seed (base-seed override, >= 0), --n (comma list override),
 --quiet.  Exit codes: 0 ok, 2 configuration error, 3 numeric failure.
 Every artifact header carries the scenario hash and the seed, and
-identical inputs produce byte-identical artifacts; on error, partially
-written artifacts are removed.  ``simulate`` and ``compare`` run their (n, seed)
+identical inputs produce byte-identical artifacts.  A command computes
+all of its artifacts before the first is written, so a run writes nothing
+unless it succeeds.  ``simulate`` and ``compare`` run their (n, seed)
 jobs, and ``solve`` and ``compare`` the defect's row blocks, on forked
 workers (``fluid.run_jobs``); only this process writes and prints, in
 (n, seed) order.  This module owns the artifact format: every
@@ -19,6 +20,7 @@ table goes through ``_table``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from pathlib import Path
@@ -27,9 +29,8 @@ import numpy as np
 
 from .fluid import FluidAccuracyError, FluidSolution, FluidSolverError, run_jobs, solve
 from .harness import ConvergenceReport, convergence_experiment, glivenko_cantelli_check, run_scenario_once
-from .laws import DensityRequiredError
 from .measures import AtomicMeasure
-from .scenario import ScenarioError, load_scenario, scenario_hash
+from .scenario import load_scenario, scenario_hash
 from .simulate import Trajectory
 
 EXIT_OK = 0
@@ -56,29 +57,6 @@ def _parser():
         s.add_argument("--n", default=None, help="comma-separated n override")
         s.add_argument("--quiet", action="store_true")
     return p
-
-
-class _Writer:
-    """Tracks written artifacts so a failed dispatch leaves nothing behind."""
-
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.written: list = []
-
-    def write(self, name: str, text: str):
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        path = self.out_dir / name
-        path.write_text(text, encoding="utf-8")
-        self.written.append(path)
-        return path
-
-    def discard_all(self):
-        for path in self.written:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        self.written.clear()
 
 
 def _base_header(scenario, command: str, seed: int):
@@ -174,7 +152,7 @@ def summary_to_text(report: ConvergenceReport, header_lines=()) -> str:
     return _table(header_lines, (), ()) + "\n".join(body) + "\n"
 
 
-def _cmd_simulate(scenario, writer: _Writer, n_list, seeds, say):
+def _cmd_simulate(scenario, n_list, seeds, say):
     grid = scenario.time_grid()
 
     def job(key):
@@ -187,14 +165,16 @@ def _cmd_simulate(scenario, writer: _Writer, n_list, seeds, say):
         return trajectory_to_text(traj, header), snapshots, traj.event_count
 
     keys = [(n, seed) for n in n_list for seed in seeds]
+    artifacts = {}
     for (n, seed), (trajectory, snapshots, events) in zip(keys, run_jobs(job, keys)):
-        writer.write(f"trajectory_n{n}_seed{seed}.tsv", trajectory)
+        artifacts[f"trajectory_n{n}_seed{seed}.tsv"] = trajectory
         if snapshots is not None:
-            writer.write(f"snapshots_n{n}_seed{seed}.txt", snapshots)
+            artifacts[f"snapshots_n{n}_seed{seed}.txt"] = snapshots
         say(f"simulate n={n} seed={seed}: {events} events")
+    return artifacts
 
 
-def _cmd_solve(scenario, writer: _Writer, say):
+def _cmd_solve(scenario, say):
     params = scenario.fluid_params()
     sol = solve(params, x_grid=scenario.x_grid())
     diag = sol.diagnostics
@@ -207,23 +187,23 @@ def _cmd_solve(scenario, writer: _Writer, say):
         f"iterations: {diag.total_iterations}",
         f"defect: {diag.defect:.3e}",
     ]
-    writer.write("solution.tsv", solution_to_text(sol, header))
-    writer.write("tail_surface.tsv", surface_to_text(sol, header))
     say(f"solve: {diag.march} march, {len(diag.windows)} nodes, defect {diag.defect:.3g}")
+    return {"solution.tsv": solution_to_text(sol, header),
+            "tail_surface.tsv": surface_to_text(sol, header)}
 
 
-def _cmd_compare(scenario, writer: _Writer, n_list, seeds, say):
+def _cmd_compare(scenario, n_list, seeds, say):
     report = convergence_experiment(scenario, n_list=n_list, seeds=seeds)
     header = _base_header(scenario, "compare", seeds[0]) + [
         f"n_list: {','.join(str(n) for n in n_list)}",
         f"seeds: {','.join(str(s) for s in seeds)}",
     ]
-    writer.write("report.tsv", report_to_text(report, header))
-    writer.write("summary.txt", summary_to_text(report, header))
     say(summary_to_text(report).rstrip())
+    return {"report.tsv": report_to_text(report, header),
+            "summary.txt": summary_to_text(report, header)}
 
 
-def _cmd_gc_check(scenario, writer: _Writer, n_list, seed, say):
+def _cmd_gc_check(scenario, n_list, seed, say):
     law = scenario.build_service()
     rows = []
     for n in n_list:
@@ -236,66 +216,69 @@ def _cmd_gc_check(scenario, writer: _Writer, n_list, seed, say):
         f"window_mass: {GC_WINDOW_MASS!r}",
         f"block_span: {GC_BLOCK_SPAN!r}",
     ]
-    writer.write("gc.tsv", _table(header, ("n", "max_deviation"), rows))
+    return {"gc.tsv": _table(header, ("n", "max_deviation"), rows)}
+
+
+def _n_list(text, scenario):
+    if text is None:
+        return list(scenario.n_list)
+    try:
+        n_list = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError("--n needs comma-separated integers") from None
+    if any(n < 1 for n in n_list):
+        raise ValueError("--n entries must be >= 1")
+    return n_list
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    quiet = args.quiet
 
     def say(msg):
-        if not quiet:
+        if not args.quiet:
             print(msg)
 
     try:
-        scenario = load_scenario(args.scenario)
-    except OSError as exc:
-        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.command in ("solve", "compare") and not scenario.horizon > 0.0:
-        print(f"error: {args.command} needs horizon > 0, got {scenario.horizon!r}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    if args.n is not None:
         try:
-            n_list = [int(v) for v in args.n.split(",")]
-        except ValueError:
-            print("error: --n needs comma-separated integers", file=sys.stderr)
-            return EXIT_CONFIG
-        if any(n < 1 for n in n_list):
-            print("error: --n entries must be >= 1", file=sys.stderr)
-            return EXIT_CONFIG
-    else:
-        n_list = list(scenario.n_list)
-    if args.seed is not None and args.seed < 0:
-        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
-        return EXIT_CONFIG
-    base_seed = scenario.seed if args.seed is None else args.seed
-    seeds = [base_seed + r for r in range(scenario.replications)]
-
-    writer = _Writer(Path(args.out))
-    try:
+            scenario = load_scenario(args.scenario)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValueError(f"cannot read scenario: {exc}") from exc
+        if args.command in ("solve", "compare") and not scenario.horizon > 0.0:
+            raise ValueError(f"{args.command} needs horizon > 0, got {scenario.horizon!r}")
+        n_list = _n_list(args.n, scenario)
+        if args.seed is not None and args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        base_seed = scenario.seed if args.seed is None else args.seed
+        seeds = [base_seed + r for r in range(scenario.replications)]
         # an overflow or a NaN anywhere in a command is a numeric failure
         with np.errstate(over="raise", invalid="raise"):
             if args.command == "simulate":
-                _cmd_simulate(scenario, writer, n_list, seeds, say)
+                artifacts = _cmd_simulate(scenario, n_list, seeds, say)
             elif args.command == "solve":
-                _cmd_solve(scenario, writer, say)
+                artifacts = _cmd_solve(scenario, say)
             elif args.command == "compare":
-                _cmd_compare(scenario, writer, n_list, seeds, say)
-            elif args.command == "gc-check":
-                _cmd_gc_check(scenario, writer, n_list, base_seed, say)
-    except (ScenarioError, DensityRequiredError, ValueError) as exc:
-        writer.discard_all()
+                artifacts = _cmd_compare(scenario, n_list, seeds, say)
+            else:
+                artifacts = _cmd_gc_check(scenario, n_list, base_seed, say)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FluidSolverError, FluidAccuracyError, FloatingPointError) as exc:
-        writer.discard_all()
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+
+    out, begun = Path(args.out), []
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in artifacts.items():
+            begun.append(out / name)
+            begun[-1].write_text(text, encoding="utf-8")
+    except OSError as exc:
+        for path in begun:  # the failed one may be partly written
+            with contextlib.suppress(OSError):
+                path.unlink()
+        print(f"error: cannot write --out {args.out}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -66,7 +66,7 @@ PICARD_TOL_FACTOR = 1e-9   # a node's iteration stops at this * (1 + |X|)
 MAX_PICARD_ITERATIONS = 80
 MAX_NODES_PER_STEP = 16    # drain march only while k_sup/k_min is at most this
 DEFECT_BLOCK_ROWS = 256    # rows of the pair matrix in one defect job
-MAX_TABLE_ENTRIES = 10**7  # tail_on_grid's lattice table: 80 MB, as the parser's time grid
+MAX_TABLE_ENTRIES = 10**7  # tail_on_grid's table or block: 80 MB, as the parser's time grid
 
 
 def time_grid(horizon: float, dt: float) -> np.ndarray:
@@ -520,7 +520,8 @@ def tail_on_grid(
     latest row, serves every row through a strided (Hankel) view of its
     prefix and each row's sum is one matrix-vector product.  Otherwise, as
     when k reaches 0 and K stalls while B grows, the intervals are those
-    of the time grid."""
+    of the time grid, and a row's arguments are taken in blocks of whole
+    x-columns, at most MAX_TABLE_ENTRIES of them unless one column has more."""
     x_grid = np.asarray(x_grid, dtype=float)
     svc_tail = params.service.tail
     rows = np.asarray(t_index, dtype=int)
@@ -535,9 +536,10 @@ def tail_on_grid(
             continue
         if lattice is None:
             db = np.diff(started[: i + 1])
-            mid = 0.5 * (drained[:i] + drained[1 : i + 1])
-            args = x_grid[None, :] + (drained[i] - mid)[:, None]
-            z[row] += svc_tail(args).T @ db
+            lag = drained[i] - 0.5 * (drained[:i] + drained[1 : i + 1])
+            width = max(1, MAX_TABLE_ENTRIES // i)  # i x width arguments per block
+            for c in range(0, x_grid.size, width):
+                z[row, c : c + width] += svc_tail(x_grid[None, c : c + width] + lag[:, None]).T @ db
         else:
             nodes = drained[i] - du * np.arange(steps[row] + 1)
             nodes[-1] = 0.0  # the last interval ends where the drain starts

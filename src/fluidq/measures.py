@@ -218,8 +218,9 @@ class TailFunction:
     """x -> measure of [x, inf) on a grid, linear in between, flat beyond.
 
     ``grid`` starts at 0 and increases strictly; ``values`` are
-    nonincreasing and nonnegative.  Queries beyond the last grid point
-    return the last value.
+    nonincreasing and nonnegative.  A tail of positive mass has two or
+    more grid points: on one, ``inverse`` would map every level to 0.
+    Queries beyond the last grid point return the last value.
     """
 
     grid: np.ndarray
@@ -234,6 +235,8 @@ class TailFunction:
             raise ValueError("tail grid must start at 0")
         if g.size > 1 and np.min(np.diff(g)) <= 0.0:
             raise ValueError("tail grid must be strictly increasing")
+        if g.size == 1 and v[0] > 0.0:
+            raise ValueError("tail grid needs two or more points when its mass is positive")
         if np.min(v) < 0.0:
             raise ValueError("tail values must be >= 0")
         if v.size > 1 and np.max(np.diff(v)) > 1e-12:

@@ -15,7 +15,8 @@ Schema (keys are lowercase, one ``key = value`` per line, ``#`` comments):
     arrival         default exponential; one of exponential | deterministic | uniform
     initial         default ``empty``; or ``scaled_tail mass=0.6`` (that
                     fraction of the service-law tail) or an explicit
-                    ``grid points=0:0.6,1:0.3,2:0`` tail
+                    ``grid points=0:0.6,1:0.3,2:0`` tail (two or more
+                    points unless its mass is 0)
     q0              default 0; initial queue mass (requires full initial tail)
     dt              default 0.001
     x_max, x_step   default 10.0, 0.05; the x-grid for tail comparisons

@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .laws import ArrivalLaw, RateFunction, ServiceLaw
+from .laws import ArrivalLaw, RateFunction, ServiceLaw, _positive
 from .measures import AtomicMeasure, TailFunction
 
 RESIDUAL_TOL = 1e-12  # residual work at or below this counts as finished
@@ -163,14 +163,9 @@ def sample_initial(
     queue_count = int(round(n * queue_mass))
     if queue_count > 0 and in_service != n:
         raise ValueError("initial queue mass requires full initial tail")
-    if in_service == 0:
-        residuals = np.empty(0)
-    else:
-        levels = rng.uniform(0.0, z0, in_service)
-        residuals = initial_tail.inverse(levels)
-        while np.any(residuals <= 0.0):
-            bad = residuals <= 0.0
-            residuals[bad] = initial_tail.inverse(rng.uniform(0.0, z0, int(bad.sum())))
+    # a level within two ulps of z0 rounds to x = 0 and is drawn again
+    draw = lambda r, size: initial_tail.inverse(r.uniform(0.0, z0, size))
+    residuals = _positive(draw, rng, in_service)
     reqs = service.sample(rng, queue_count) if queue_count else np.empty(0)
     return list(residuals), list(reqs)
 

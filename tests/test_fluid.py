@@ -320,27 +320,37 @@ class TestTailSurface:
         assert np.min(sol.tail_surface) >= -1e-9
         assert np.max(np.diff(sol.tail_surface, axis=1)) <= 1e-9
 
-    @pytest.mark.parametrize("rate,lattice,bound", [
-        (capped_linear_rate(0.5, 1.0, 2.0), True, 1e-6),
-        (constant_rate(1.0), True, 1e-12),
-        (constant_rate(0.0), False, 1e-12),
-        (capped_linear_rate(0.0, 1.0, 2.0), False, 1e-12),
-    ], ids=["capped_linear", "constant", "constant_zero", "capped_linear_zero"])
-    def test_surface_matches_time_grid_oracle(self, rate, lattice, bound):
+    @pytest.mark.parametrize("rate,lattice,bound,entries", [
+        (capped_linear_rate(0.5, 1.0, 2.0), True, 1e-6, None),
+        (constant_rate(1.0), True, 1e-12, None),
+        (constant_rate(0.0), False, 1e-12, None),
+        (capped_linear_rate(0.0, 1.0, 2.0), False, 1e-12, None),
+        (capped_linear_rate(0.0, 1.0, 2.0), False, 1e-12, 1000),
+    ], ids=["capped_linear", "constant", "constant_zero", "capped_linear_zero",
+            "capped_linear_zero_blocked"])
+    def test_surface_matches_time_grid_oracle(self, rate, lattice, bound, entries, monkeypatch):
         # on the drain lattice the sum takes other intervals, O(dt^2) away
         # from the time grid's, except under a constant rate where the two
-        # coincide; a rate with floor 0 sums over the time grid itself
+        # coincide; a rate with floor 0 sums over the time grid itself, in
+        # blocks of at most MAX_TABLE_ENTRIES tail arguments
         p = params_for(1.2, horizon=2.0, dt=2e-3, service=make_lognormal(0.0, 0.5), rate=rate)
         x, _ = fm.solve_count_path(p)
         drained = fm.cumulative_drain(x, p.rate, p.dt_effective)
         _, started = fm.queue_and_starts(x, p.arrival_rate, p.times)
         xs = 0.25 * np.arange(13)
+        sizes = []
+        if entries is not None:
+            monkeypatch.setattr(fm, "MAX_TABLE_ENTRIES", entries)
+            tail = p.service.tail
+            service = dataclasses.replace(p.service, tail=lambda x: sizes.append(np.size(x)) or tail(x))
+            p = dataclasses.replace(p, service=service)
         assert (fm._drain_lattice(p, xs, 0.0) is not None) == lattice
         for i in (1, 377, p.steps):
             z = fm.tail_on_grid(p, drained, started, i, xs)
             oracle = tail_midpoint_sum(xs.tolist(), drained.tolist(), started.tolist(), i,
                                        p.initial_tail, p.service.tail)
             assert np.max(np.abs(z - np.array(oracle))) <= bound
+        assert max(sizes, default=0) <= (entries or 0)
 
     @pytest.mark.parametrize("service", [
         make_exponential(1.0), make_lognormal(0.0, 0.5), make_uniform(0.0, 2.0),

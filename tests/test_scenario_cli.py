@@ -174,6 +174,14 @@ class TestParse:
         sc = parse_scenario(text)
         assert sc.q0 == 1.0
 
+    def test_one_point_initial_tail_rejected(self):
+        # on one grid point the tail's inverse maps every level to 0, so the
+        # initial draw of the simulator could find no positive residual
+        with pytest.raises(ScenarioError, match="two or more points"):
+            parse_scenario(MINIMAL + "initial = grid points=0:0.5\n")
+        sc = parse_scenario(MINIMAL + "initial = grid points=0:0\n")
+        assert sc.build_initial_tail().total_mass == 0.0
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ScenarioError, match="duplicate"):
             parse_scenario(MINIMAL + "lambda = 0.7\n")
@@ -368,6 +376,31 @@ class TestCli:
                         "--seed", "-5", "--quiet"]) == 2
         assert capsys.readouterr().err == "error: --seed must be >= 0, got -5\n"
         assert not out.exists()
+
+    def test_non_utf8_scenario_is_config_error(self, tmp_path, capsys):
+        scn = tmp_path / "latin1.scn"
+        scn.write_bytes(MINIMAL.replace("minimal", "caf\xe9").encode("latin-1"))
+        assert run_cli(["solve", "--scenario", str(scn), "--out", str(tmp_path / "out"),
+                        "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read scenario: 'utf-8' codec")
+
+    def test_out_that_is_a_file_is_config_error(self, tmp_path, tiny_scenario, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run_cli(["gc-check", "--scenario", str(tiny_scenario), "--out", str(out),
+                        "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write --out {out}: ") and err.count("\n") == 1
+
+    def test_failed_write_removes_the_artifacts_written_before(self, tmp_path, tiny_scenario,
+                                                               capsys):
+        # solution.tsv is written, then tail_surface.tsv cannot be
+        out = tmp_path / "out"
+        (out / "tail_surface.tsv").mkdir(parents=True)
+        assert run_cli(["solve", "--scenario", str(tiny_scenario), "--out", str(out),
+                        "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write --out {out}: ")
+        assert [p.name for p in out.iterdir()] == ["tail_surface.tsv"]
 
     @pytest.mark.parametrize("line", BAD_NUMBER_LINES)
     def test_bad_number_is_config_error_naming_its_line(self, tmp_path, line):
@@ -621,7 +654,7 @@ CLI_RATES = ("constant value=1.0", "constant value=0.0", "capped_linear base=0.5
              "capped_linear base=0.0 slope=2.0 cap=1.0", "table knots=0:1,1:0.5,2:1.5",
              "table knots=0:0,1:2")
 CLI_INITIALS = ("empty", "scaled_tail mass=0.6", "scaled_tail mass=1.0",
-                "grid points=0:0.6,1:0.3,2:0")
+                "grid points=0:0.6,1:0.3,2:0", "grid points=0:0.6")
 
 
 @st.composite

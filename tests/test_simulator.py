@@ -389,6 +389,22 @@ class TestSampledInitial:
             emp = np.mean(sample >= x)
             assert emp == pytest.approx(math.exp(-x), abs=0.02)
 
+    def test_level_next_to_the_mass_is_drawn_again(self):
+        # np.interp rounds the level just below the mass 0.9 to x = 0; that
+        # draw is replaced, so every residual is positive
+        class Levels:
+            def __init__(self):
+                self.calls = 0
+
+            def uniform(self, low, high, size):
+                self.calls += 1
+                return np.full(size, np.nextafter(high, 0.0) if self.calls == 1 else 0.5 * high)
+
+        tail = TailFunction([0.0, 2.0], [0.9, 0.0])
+        assert tail.inverse(np.nextafter(0.9, 0.0)) == 0.0
+        residuals, _ = sample_initial(tail, 0.0, 10, make_exponential(1.0), Levels())
+        assert residuals == [1.0] * 9
+
     def test_queue_requires_full_tail(self):
         tail = TailFunction([0.0, 1.0], [0.5, 0.0])
         with pytest.raises(ValueError, match="full initial tail"):

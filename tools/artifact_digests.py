@@ -3,7 +3,8 @@
 Runs ``fluidq simulate``, ``solve``, ``compare`` and ``gc-check`` on each
 ``scenarios/*.scn`` with the scenario's own seeds and n ladder, one fresh
 interpreter per command, and prints one line per command followed by one
-line per artifact it wrote:
+line per artifact it wrote.  A command still running after ``TIMEOUT_S``
+seconds is killed and printed as ``exit timeout``:
 
     python3 tools/artifact_digests.py              # this checkout
     python3 tools/artifact_digests.py OTHER_ROOT   # another checkout's src/ and scenarios/
@@ -14,12 +15,30 @@ the parent commit and on the change and diffing the two outputs.
 
 import hashlib
 import os
+import signal
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 COMMANDS = ("simulate", "solve", "compare", "gc-check")
+TIMEOUT_S = 120  # a shipped scenario's command takes a few seconds
+
+
+def _run(command, scn, out, env):
+    """The command's exit code, or ``timeout`` after TIMEOUT_S seconds,
+    when its process group (the forked workers too) is killed."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "fluidq.cli", command, "--scenario", str(scn),
+         "--out", str(out), "--quiet"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
+    ) as proc:
+        try:
+            return proc.wait(timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            return "timeout"
 
 
 def main() -> int:
@@ -31,12 +50,7 @@ def main() -> int:
         for scn in sorted((root / "scenarios").glob("*.scn")):
             for command in COMMANDS:
                 out = Path(tmp) / scn.stem / command
-                proc = subprocess.run(
-                    [sys.executable, "-m", "fluidq.cli", command, "--scenario", str(scn),
-                     "--out", str(out), "--quiet"],
-                    env=env, capture_output=True,
-                )
-                print(f"{command} {scn.stem}: exit {proc.returncode}", flush=True)
+                print(f"{command} {scn.stem}: exit {_run(command, scn, out, env)}", flush=True)
                 for path in sorted(out.rglob("*")) if out.exists() else ():
                     if path.is_file():
                         digest = hashlib.sha256(path.read_bytes()).hexdigest()
