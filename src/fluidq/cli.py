@@ -5,7 +5,8 @@
     fluidq compare  --scenario s.scn --out dir    scaled-sim vs fluid gap report
     fluidq gc-check --scenario s.scn --out dir    block empirical-measure deviations
 
-Common flags: --seed (base-seed override, >= 0), --n (comma list override),
+Common flags: --seed (base-seed override) and --n (comma list override),
+read by the parsers of the scenario keys ``seed`` and ``n_list``, and
 --quiet.  Exit codes: 0 ok, 2 configuration error, 3 numeric failure.
 Every artifact header carries the scenario hash and the seed, and
 identical inputs produce byte-identical artifacts.  A command computes
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import sys
 from pathlib import Path
 
@@ -30,7 +30,7 @@ import numpy as np
 from .fluid import FluidAccuracyError, FluidSolution, FluidSolverError, run_jobs, solve
 from .harness import ConvergenceReport, convergence_experiment, glivenko_cantelli_check, run_scenario_once
 from .measures import AtomicMeasure
-from .scenario import load_scenario, scenario_hash
+from .scenario import KEYS, load_scenario, scenario_hash
 from .simulate import Trajectory
 
 EXIT_OK = 0
@@ -53,7 +53,7 @@ def _parser():
         s = sub.add_parser(name, help=helptext)
         s.add_argument("--scenario", required=True, help="scenario file path")
         s.add_argument("--out", required=True, help="output directory")
-        s.add_argument("--seed", type=int, default=None, help="base seed override")
+        s.add_argument("--seed", default=None, help="base seed override")
         s.add_argument("--n", default=None, help="comma-separated n override")
         s.add_argument("--quiet", action="store_true")
     return p
@@ -119,16 +119,11 @@ def snapshots_to_text(traj: Trajectory, header_lines=()) -> str:
 
 def report_to_text(report: ConvergenceReport, header_lines=()) -> str:
     """One row per (n, seed): sup-norm gaps of X, Q and B, then the Prohorov
-    distance at each snapshot time; all gaps are nan when simulation-only."""
+    distance at each snapshot time."""
     columns = ["n", "seed", "sup_X_gap", "sup_Q_gap", "sup_B_gap"]
     columns += [f"rho@{t!r}" for t in report.snapshot_times]
-    rows = []
-    for r in report.rows:
-        if report.simulation_only:
-            gaps = [math.nan] * (3 + len(report.snapshot_times))
-        else:
-            gaps = [r.count_gap, r.queue_gap, r.starts_gap] + [d for _, d in r.measure_gaps]
-        rows.append([r.n, r.seed, *gaps])
+    rows = ([r.n, r.seed, r.count_gap, r.queue_gap, r.starts_gap, *(d for _, d in r.measure_gaps)]
+            for r in report.rows)
     return _table(header_lines, columns, rows)
 
 
@@ -195,7 +190,7 @@ def _cmd_solve(scenario, say):
 def _cmd_compare(scenario, n_list, seeds, say):
     report = convergence_experiment(scenario, n_list=n_list, seeds=seeds)
     header = _base_header(scenario, "compare", seeds[0]) + [
-        f"n_list: {','.join(str(n) for n in n_list)}",
+        f"n_list: {KEYS['n_list'].format(n_list)}",
         f"seeds: {','.join(str(s) for s in seeds)}",
     ]
     say(summary_to_text(report).rstrip())
@@ -219,16 +214,12 @@ def _cmd_gc_check(scenario, n_list, seed, say):
     return {"gc.tsv": _table(header, ("n", "max_deviation"), rows)}
 
 
-def _n_list(text, scenario):
-    if text is None:
-        return list(scenario.n_list)
+def _override(flag, key, text):
+    """``text`` of ``flag`` read by the scenario key's parser, errors naming ``flag``."""
     try:
-        n_list = [int(v) for v in text.split(",")]
-    except ValueError:
-        raise ValueError("--n needs comma-separated integers") from None
-    if any(n < 1 for n in n_list):
-        raise ValueError("--n entries must be >= 1")
-    return n_list
+        return KEYS[key].parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{flag} {exc}") from None
 
 
 def main(argv=None) -> int:
@@ -245,10 +236,8 @@ def main(argv=None) -> int:
             raise ValueError(f"cannot read scenario: {exc}") from exc
         if args.command in ("solve", "compare") and not scenario.horizon > 0.0:
             raise ValueError(f"{args.command} needs horizon > 0, got {scenario.horizon!r}")
-        n_list = _n_list(args.n, scenario)
-        if args.seed is not None and args.seed < 0:
-            raise ValueError(f"--seed must be >= 0, got {args.seed}")
-        base_seed = scenario.seed if args.seed is None else args.seed
+        n_list = scenario.n_list if args.n is None else _override("--n", "n_list", args.n)
+        base_seed = scenario.seed if args.seed is None else _override("--seed", "seed", args.seed)
         seeds = [base_seed + r for r in range(scenario.replications)]
         # an overflow or a NaN anywhere in a command is a numeric failure
         with np.errstate(over="raise", invalid="raise"):

@@ -262,7 +262,7 @@ def _history(params, drain: np.ndarray, coeff: np.ndarray, i0: int, i1: int, dt:
     return rhs + g @ coeff[: i1 + 1]
 
 
-def solve_count_path(params: FluidParams, start: str = "constant", march: str | None = None):
+def solve_count_path(params: FluidParams, march: str | None = None):
     """Solve the fixed-point equation for the scaled count on the time grid.
 
     ``march`` is "drain" or "time"; by default ``march_kind(params.rate)``
@@ -271,18 +271,12 @@ def solve_count_path(params: FluidParams, start: str = "constant", march: str | 
     and interpolates X onto the time grid.  The time march solves the
     trapezoid equation on the time grid one step at a time.
 
-    Each node's unknown is a scalar solved by fixed-point iteration.
-    ``start`` selects the first iterate: "constant" continues the last
-    solved value, "h1" seeds with the no-feedback response h1 at the
-    node's drain (extrapolated by one step in the time march).  Both must
-    land on the same fixed point, which the uniqueness tests check by
-    comparing them.
+    Each node's unknown is a scalar solved by fixed-point iteration from
+    the last solved value.
 
     Returns (count path, SolveDiagnostics).
     """
     params.service.require_lipschitz_density()
-    if start not in ("constant", "h1"):
-        raise ValueError("start must be 'constant' or 'h1'")
     march = march or march_kind(params.rate)
     du = float(params.rate.floor * params.dt_effective) if march == "drain" else math.nan
     diag = SolveDiagnostics(march=march, du=du)
@@ -292,8 +286,8 @@ def solve_count_path(params: FluidParams, start: str = "constant", march: str | 
         # nothing ever enters: the zero path solves the equation exactly
         return x, diag
     if march == "drain":
-        return _drain_march(params, start, diag), diag
-    _time_march(params, start, x, diag)
+        return _drain_march(params, diag), diag
+    _time_march(params, x, diag)
     return x, diag
 
 
@@ -313,7 +307,7 @@ def _fixed_point(update, guess, where: str):
     )
 
 
-def _drain_march(params: FluidParams, start: str, diag: SolveDiagnostics) -> np.ndarray:
+def _drain_march(params: FluidParams, diag: SolveDiagnostics) -> np.ndarray:
     """March the drain-time equation
 
         X(u) = h1(u) + int_0^u [lam/k(X(v)) Gc(u - v) + (X(v) - 1)^+ g(u - v)] dv
@@ -358,7 +352,7 @@ def _drain_march(params: FluidParams, start: str, diag: SolveDiagnostics) -> np.
         )
         x[m], it = _fixed_point(
             lambda v: lagged + lag0_arrivals / rate(v) + lag0_drain * max(v - 1.0, 0.0),
-            x[m - 1] if start == "constant" else h1_u[m],
+            x[m - 1],
             f"at drain {m * du:.6g}",
         )
         inv_next = 1.0 / rate(x[m])
@@ -370,7 +364,7 @@ def _drain_march(params: FluidParams, start: str, diag: SolveDiagnostics) -> np.
     return np.interp(params.times, t[: m + 1], x[: m + 1])
 
 
-def _time_march(params: FluidParams, start: str, x: np.ndarray, diag: SolveDiagnostics):
+def _time_march(params: FluidParams, x: np.ndarray, diag: SolveDiagnostics):
     """One-step march of the trapezoid equation on the time grid, filling
     ``x``.  X_i enters its own history through K_i, so the kernels are
     rebuilt on every iteration; only one is alive at a time."""
@@ -392,12 +386,8 @@ def _time_march(params: FluidParams, start: str, x: np.ndarray, diag: SolveDiagn
         return float(_history(params, drain, coeff, i - 1, i, dt)[0])
 
     for i in range(1, x.size):
-        if start == "constant":
-            guess = x[i - 1]
-        else:
-            guess = float(_h1(params, np.array([drain[i - 1] + float(rate(x[i - 1])) * dt]))[0])
         x[i], it = _fixed_point(
-            lambda v: update(v, i), guess, f"on [{times[i - 1]:.6g}, {times[i]:.6g}]"
+            lambda v: update(v, i), x[i - 1], f"on [{times[i - 1]:.6g}, {times[i]:.6g}]"
         )
         follow(x[i], i)
         diag.windows.append(it)

@@ -42,8 +42,8 @@ class ConvergenceReport:
     fluid solution, plus Prohorov distances at snapshot times.
 
     ``simulation_only`` reports carry no gaps: the service law admits no
-    fluid target, so each (n, seed) row holds nan gaps and nothing is
-    simulated.
+    fluid target, so each (n, seed) row holds nan gaps, one per snapshot
+    time among them, and nothing is simulated.
     """
 
     scenario_name: str
@@ -130,8 +130,8 @@ def convergence_experiment(
 
     ``seeds`` defaults to the scenario's seed plus 0 .. replications - 1.
     Laws without a Lipschitz density have no fluid target; the report is
-    then marked simulation-only and its rows are built without running
-    the simulations; otherwise each row is one ``run_jobs`` job.
+    then marked simulation-only and its rows hold nan gaps, built without
+    running the simulations; otherwise each row is one ``run_jobs`` job.
     Deterministic for fixed seeds.
     """
     n_list = list(scenario.n_list if n_list is None else n_list)
@@ -146,27 +146,27 @@ def convergence_experiment(
         except DensityRequiredError:
             pass
 
-    simulation_only = solution is None
-    grid = scenario.time_grid()
+    keys = sorted({(n, seed) for n in n_list for seed in seeds})
     report = ConvergenceReport(
         scenario_name=scenario.name,
         x_grid_step=float(scenario.x_step),
         snapshot_times=snapshot_times,
-        simulation_only=simulation_only,
+        simulation_only=solution is None,
     )
+    if report.simulation_only:
+        gaps = tuple((t, math.nan) for t in snapshot_times)
+        report.rows = [GapRow(n, seed, math.nan, math.nan, math.nan, gaps) for n, seed in keys]
+        return report
 
-    fluid_measures = {}
-    if not simulation_only:
-        x_grid = scenario.x_grid()
-        idx = [fluid_mod._grid_index(solution.times, t) for t in snapshot_times]
-        rows = fluid_mod.tail_on_grid(params, solution.drained, solution.started, idx, x_grid)
-        for t, z in zip(snapshot_times, rows):
-            fluid_measures[t] = discretize_fluid_measure(z, x_grid)
+    grid = scenario.time_grid()
+    x_grid = scenario.x_grid()
+    idx = [fluid_mod._grid_index(solution.times, t) for t in snapshot_times]
+    rows = fluid_mod.tail_on_grid(params, solution.drained, solution.started, idx, x_grid)
+    fluid_measures = {t: discretize_fluid_measure(z, x_grid)
+                      for t, z in zip(snapshot_times, rows)}
 
     def job(key):
         n, seed = key
-        if simulation_only:
-            return GapRow(n, seed, math.nan, math.nan, math.nan, ())
         traj = run_scenario_once(scenario, n, seed, grid, snapshot_times)
         # fluid scaling: counts and measures divided by n
         inv = 1.0 / n
@@ -179,8 +179,7 @@ def convergence_experiment(
             mgaps.append((sn.time, d))
         return GapRow(n, seed, count_gap, queue_gap, starts_gap, tuple(mgaps))
 
-    keys = sorted({(n, seed) for n in n_list for seed in seeds})
-    report.rows = list(map(job, keys)) if simulation_only else run_jobs(job, keys)
+    report.rows = run_jobs(job, keys)
     return report
 
 

@@ -1,9 +1,11 @@
 """Scenario files: one experiment = one flat key/value text file.
 
-Schema (keys are lowercase, one ``key = value`` per line, ``#`` comments):
+Schema (keys are lowercase, one ``key = value`` per line, ``#`` comments),
+one line per key of the ``KEYS`` table, in its order:
 
     name            required  experiment name
     lambda          required  fluid-scale arrival rate, >= 0
+    arrival         default exponential; one of exponential | deterministic | uniform
     service         required  law string: ``exponential rate=1.0`` |
                               ``lognormal mu=0.0 sigma=0.5`` |
                               ``uniform a=0.0 b=2.0`` |
@@ -11,36 +13,38 @@ Schema (keys are lowercase, one ``key = value`` per line, ``#`` comments):
     rate            required  ``constant value=1.0`` |
                               ``capped_linear base=0.5 slope=1.0 cap=2.0`` |
                               ``table knots=0:1,2:1.5``
-    horizon         required  simulation/solve horizon T, >= 0
-    arrival         default exponential; one of exponential | deterministic | uniform
-    initial         default ``empty``; or ``scaled_tail mass=0.6`` (that
+    initial         default empty; or ``scaled_tail mass=0.6`` (that
                     fraction of the service-law tail) or an explicit
                     ``grid points=0:0.6,1:0.3,2:0`` tail (two or more
                     points unless its mass is 0)
-    q0              default 0; initial queue mass (requires full initial tail)
-    dt              default 0.001
-    x_max, x_step   default 10.0, 0.05; the x-grid for tail comparisons
-    n_list          default 10,100,1000
-    replications    default 3
-    seed            default 12345, >= 0; base seed, replication r uses seed + r
-    snapshot_times  default T/5, T/2, T; each must lie on the time grid,
+    q0              default 0.0; initial queue mass (requires full initial tail)
+    horizon         required  simulation/solve horizon T, >= 0
+    dt              default 0.001; > 0
+    x_max           default 10.0; > 0, the end of the x-grid for tail comparisons
+    x_step          default 0.05; > 0 and <= x_max, the x-grid's step
+    n_list          default 10,100,1000; distinct integers >= 1
+    replications    default 3; an integer >= 1
+    seed            default 12345; an integer >= 0, replication r uses seed + r
+    snapshot_times  default T/5,T/2,T; each must lie on the time grid,
                     ``round(T/dt)`` equal steps on [0, T], to within 1e-9
 
-Every number, law parameters and x:y pairs included, must be finite;
-``replications`` and ``seed`` must be integers.  ``T/dt`` may not exceed
-10^7 steps, ``x_max/x_step`` 10^5 cells, and ``replications`` 10^6.  The
-law kinds, with their parameters and builders, are listed once, in the
-``_LAWS`` table below.
+Every number, law parameters and x:y pairs included, must be finite.
+``T/dt`` may not exceed 10^7 steps, ``x_max/x_step`` 10^5 cells, and
+``replications`` 10^6.  The law kinds, with their parameters and
+builders, are listed once, in the ``_LAWS`` table below.
 
-Unknown keys are rejected with their line number.  Round trip holds:
-parsing the canonical serialization reproduces the scenario exactly.
+Unknown keys are rejected with their line number, and a bad value is
+rejected with its line number and its key.  Round trip holds: parsing
+the canonical serialization reproduces the scenario exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -52,25 +56,6 @@ from .measures import TailFunction
 
 class ScenarioError(ValueError):
     """Scenario file violates the schema or its consistency checks."""
-
-
-_REQUIRED = ("name", "lambda", "service", "rate", "horizon")
-
-# Optional keys with the text their default would have in a file;
-# snapshot_times defaults to T/5, T/2, T.
-_DEFAULTS = {
-    "arrival": "exponential",
-    "initial": "empty",
-    "q0": "0.0",
-    "dt": "0.001",
-    "x_max": "10.0",
-    "x_step": "0.05",
-    "n_list": "10,100,1000",
-    "replications": "3",
-    "seed": "12345",
-}
-
-_KNOWN_KEYS = {*_REQUIRED, *_DEFAULTS, "snapshot_times"}
 
 
 def _scaled_tail(sc, mass) -> TailFunction:
@@ -112,17 +97,22 @@ _MAX_X_CELLS = 10**5
 _MAX_REPLICATIONS = 10**6
 
 
+def _build(key, law, *args):
+    """The object a law key's (kind, params) value describes."""
+    kind, params = law
+    return _LAWS[key][kind][1](*args, **dict(params))
+
+
 @dataclass(frozen=True)
 class Scenario:
+    """One experiment: one field per key of ``KEYS``, in its order."""
+
     name: str
     lam: float
-    arrival_kind: str
-    service_kind: str
-    service_params: tuple  # ((key, value), ...) in a fixed order
-    rate_kind: str
-    rate_params: tuple
-    initial_kind: str
-    initial_params: tuple
+    arrival: str
+    service: tuple  # (kind, ((param, value), ...)) in the _LAWS order
+    rate: tuple
+    initial: tuple
     q0: float
     horizon: float
     dt: float
@@ -136,16 +126,16 @@ class Scenario:
     # -- builders ----------------------------------------------------------
 
     def build_service(self):
-        return _LAWS["service"][self.service_kind][1](**dict(self.service_params))
+        return _build("service", self.service)
 
     def build_arrivals(self):
-        return make_arrivals(self.arrival_kind, self.lam)
+        return make_arrivals(self.arrival, self.lam)
 
     def build_rate(self):
-        return _LAWS["rate"][self.rate_kind][1](**dict(self.rate_params))
+        return _build("rate", self.rate)
 
     def build_initial_tail(self) -> TailFunction:
-        return _LAWS["initial"][self.initial_kind][1](self, **dict(self.initial_params))
+        return _build("initial", self.initial, self)
 
     def x_grid(self) -> np.ndarray:
         return np.arange(0.0, self.x_max + 0.5 * self.x_step, self.x_step)
@@ -165,50 +155,137 @@ class Scenario:
         )
 
 
-def _finite(text, line, name) -> float:
+# -- value parsers: text -> value, or ValueError with a message that the
+# caller prefixes with the key (or the CLI flag) it parses -----------------
+
+
+def _number(text, low=-math.inf, high=math.inf, integer=False):
+    """A finite number in [low, high], an integer if ``integer``."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise ScenarioError(f"line {line}: '{name}' needs a finite number, got '{text}'")
+        raise ValueError(f"needs a finite number, got '{text}'")
+    if integer and value != int(value):
+        raise ValueError(f"needs an integer, got '{text}'")
+    if value < low:
+        raise ValueError(f"must be >= {low}, got {text}")
+    if value > high:
+        raise ValueError(f"may not exceed {high}, got {text}")
+    return int(value) if integer else value
+
+
+def _positive(text) -> float:
+    value = _number(text)
+    if value <= 0:
+        raise ValueError(f"must be positive, got {text}")
     return value
 
 
-def _parse_pairs(text, line, name):
-    """Comma-separated x:y pairs."""
-    pairs = []
-    for chunk in text.split(","):
-        x, sep, y = chunk.partition(":")
-        if not sep:
-            raise ScenarioError(f"line {line}: expected x:y pairs in {name}, got '{chunk}'")
-        pairs.append((_finite(x, line, name), _finite(y, line, name)))
-    return tuple(pairs)
+def _listed(parse):
+    """Parser of comma-separated values, each read by ``parse``."""
+    return lambda text: tuple(map(parse, text.split(",")))
 
 
-def _parse_law(key, text, line):
-    """``kind p=v ...`` for a law key: the kind and its parameters in
-    the table's order."""
-    kind, *tokens = text.split() or [""]
+def _n_list(text) -> tuple:
+    n_list = _listed(partial(_number, low=1, integer=True))(text)
+    if len(set(n_list)) < len(n_list):
+        raise ValueError(f"repeats an n, got '{text}'")
+    return n_list
+
+
+def _arrival(text) -> str:
+    if text not in ARRIVAL_KINDS:
+        raise ValueError(f"unknown kind '{text}'")
+    return text
+
+
+def _pair(text) -> tuple:
+    x, sep, y = text.partition(":")
+    if not sep:
+        raise ValueError(f"needs x:y pairs, got '{text}'")
+    return _number(x), _number(y)
+
+
+def _param(name, text):
+    try:
+        return (_listed(_pair) if name in _PAIR_PARAMS else _number)(text)
+    except ValueError as exc:
+        raise ValueError(f"{name} {exc}") from None
+
+
+def _law(key):
+    """Parser of a law key's ``kind p=v ...``: the kind and its parameters
+    in the _LAWS order."""
     kinds = _LAWS[key]
-    if kind not in kinds:
-        raise ScenarioError(f"line {line}: unknown {key} kind '{kind}'")
-    given = {}
-    for tok in tokens:
-        name, sep, value = tok.partition("=")
-        if not sep:
-            raise ScenarioError(f"line {line}: expected key=value in {key}, got '{tok}'")
-        if name in given:
-            raise ScenarioError(f"line {line}: duplicate parameter '{name}' in {key}")
-        given[name] = value
-    names = kinds[kind][0]
-    if set(given) != set(names):
-        wanted = ", ".join(f"{name}=" for name in names) or "no parameters"
-        raise ScenarioError(f"line {line}: {key} '{kind}' needs {wanted}")
-    return kind, tuple(
-        (name, (_parse_pairs if name in _PAIR_PARAMS else _finite)(given[name], line, name))
-        for name in names
-    )
+
+    def parse(text) -> tuple:
+        kind, *tokens = text.split() or [""]
+        if kind not in kinds:
+            raise ValueError(f"unknown kind '{kind}'")
+        given = {}
+        for tok in tokens:
+            name, sep, value = tok.partition("=")
+            if not sep:
+                raise ValueError(f"expected name=value, got '{tok}'")
+            if name in given:
+                raise ValueError(f"duplicate parameter '{name}'")
+            given[name] = value
+        names = kinds[kind][0]
+        if set(given) != set(names):
+            wanted = ", ".join(f"{name}=" for name in names) or "no parameters"
+            raise ValueError(f"'{kind}' needs {wanted}")
+        return kind, tuple((name, _param(name, given[name])) for name in names)
+
+    return parse
+
+
+def _float_text(value) -> str:
+    return repr(float(value))
+
+
+def _law_text(law) -> str:
+    kind, params = law
+
+    def fmt(name, value):
+        if name in _PAIR_PARAMS:
+            return ",".join(f"{_float_text(a)}:{_float_text(b)}" for a, b in value)
+        return _float_text(value)
+
+    return " ".join([kind, *(f"{name}={fmt(name, value)}" for name, value in params)])
+
+
+def _joined(fmt):
+    return lambda values: ",".join(map(fmt, values))
+
+
+REQUIRED = object()  # the default of a key every file must give
+
+# One scenario key: the text of its default in a file (REQUIRED, or a
+# function of the fields parsed before it), its parser, its formatter and,
+# where it is not the key, its Scenario field.
+Key = namedtuple("Key", "default parse format field", defaults=(str, None))
+
+# The one table of scenario keys, in the order of the canonical text.
+KEYS = {
+    "name": Key(REQUIRED, str),
+    "lambda": Key(REQUIRED, partial(_number, low=0), _float_text, field="lam"),
+    "arrival": Key("exponential", _arrival),
+    "service": Key(REQUIRED, _law("service"), _law_text),
+    "rate": Key(REQUIRED, _law("rate"), _law_text),
+    "initial": Key("empty", _law("initial"), _law_text),
+    "q0": Key("0.0", partial(_number, low=0), _float_text),
+    "horizon": Key(REQUIRED, partial(_number, low=0), _float_text),
+    "dt": Key("0.001", _positive, _float_text),
+    "x_max": Key("10.0", _positive, _float_text),
+    "x_step": Key("0.05", _positive, _float_text),
+    "n_list": Key("10,100,1000", _n_list, _joined(str)),
+    "replications": Key("3", partial(_number, low=1, high=_MAX_REPLICATIONS, integer=True)),
+    "seed": Key("12345", partial(_number, low=0, integer=True)),
+    "snapshot_times": Key(lambda v: (v["horizon"] / 5.0, v["horizon"] / 2.0, v["horizon"]),
+                          _listed(_number), _joined(_float_text)),
+}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -221,146 +298,59 @@ def parse_scenario(text: str) -> Scenario:
         if "=" not in stripped:
             raise ScenarioError(f"line {line_no}: expected 'key = value'")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in KEYS:
             raise ScenarioError(f"line {line_no}: unknown key '{key}'")
         if key in raw:
             raise ScenarioError(f"line {line_no}: duplicate key '{key}'")
         raw[key] = value
         lines[key] = line_no
-    for required in _REQUIRED:
-        if required not in raw:
-            raise ScenarioError(f"missing required key '{required}'")
-    values = {**_DEFAULTS, **raw}
 
     def fail(key, message):
         where = f"line {lines[key]}: " if key in lines else ""
-        raise ScenarioError(where + message)
+        raise ScenarioError(f"{where}{key}: {message}")
 
-    def number(key, at_least=-math.inf) -> float:
-        value = _finite(values[key], lines.get(key, 0), key)
-        if value < at_least:
-            fail(key, f"{key} must be >= {at_least}")
-        return value
+    def at(key, check, *args):
+        """``check(*args)``, its error named by ``key`` and its line."""
+        try:
+            return check(*args)
+        except (ValueError, ArithmeticError) as exc:
+            fail(key, exc)
 
-    def integer(key, at_least=-math.inf) -> int:
-        value = number(key, at_least)
-        if value != int(value):
-            fail(key, f"'{key}' needs an integer, got '{values[key]}'")
-        return int(value)
+    values = {}
+    for key, entry in KEYS.items():
+        text = raw.get(key, entry.default)
+        if text is REQUIRED:
+            raise ScenarioError(f"missing required key '{key}'")
+        values[entry.field or key] = text(values) if callable(text) else at(key, entry.parse, text)
 
-    def law(key):
-        return _parse_law(key, values[key], lines.get(key, 0))
-
-    lam = number("lambda", 0)
-    horizon = number("horizon", 0)
-
-    arrival_kind = values["arrival"]
-    if arrival_kind not in ARRIVAL_KINDS:
-        fail("arrival", f"unknown arrival kind '{arrival_kind}'")
-    service_kind, service_params = law("service")
-    rate_kind, rate_params = law("rate")
-    initial_kind, initial_params = law("initial")
-
-    q0 = number("q0", 0)
-    dt = number("dt")
-    if dt <= 0:
-        fail("dt", "dt must be positive")
+    horizon, dt = values["horizon"], values["dt"]
     if not horizon / dt <= _MAX_TIME_STEPS:
-        fail("dt", f"dt gives more than {_MAX_TIME_STEPS} time steps on [0, horizon]")
-    x_max = number("x_max")
-    x_step = number("x_step")
-    if x_max <= 0 or x_step <= 0 or x_step > x_max:
-        raise ScenarioError("x_max and x_step must be positive with x_step <= x_max")
+        fail("dt", f"gives more than {_MAX_TIME_STEPS} time steps on [0, horizon]")
+    x_max, x_step = values["x_max"], values["x_step"]
+    x_key = "x_step" if "x_step" in lines else "x_max"
+    if x_step > x_max:
+        fail(x_key, "x_step may not exceed x_max")
     if not x_max / x_step <= _MAX_X_CELLS:
-        fail("x_step" if "x_step" in lines else "x_max",
-             f"x_max/x_step gives more than {_MAX_X_CELLS} x-grid cells")
-
-    try:
-        n_list = tuple(int(v) for v in values["n_list"].split(","))
-    except ValueError:
-        fail("n_list", "n_list needs integers")
-    if not n_list or any(n < 1 for n in n_list):
-        fail("n_list", "n_list entries must be >= 1")
-
-    replications = integer("replications", 1)
-    if replications > _MAX_REPLICATIONS:
-        fail("replications", f"replications may not exceed {_MAX_REPLICATIONS}")
-    seed = integer("seed", 0)
-
-    if "snapshot_times" in raw:
-        snapshot_times = tuple(
-            _finite(v, lines["snapshot_times"], "snapshot_times")
-            for v in raw["snapshot_times"].split(",")
-        )
-    else:
-        snapshot_times = (horizon / 5.0, horizon / 2.0, horizon)
-    if any(t < 0 or t > horizon for t in snapshot_times):
-        fail("snapshot_times", "snapshot times must lie within [0, horizon]")
-
-    scenario = Scenario(
-        name=raw["name"],
-        lam=lam,
-        arrival_kind=arrival_kind,
-        service_kind=service_kind,
-        service_params=service_params,
-        rate_kind=rate_kind,
-        rate_params=rate_params,
-        initial_kind=initial_kind,
-        initial_params=initial_params,
-        q0=q0,
-        horizon=horizon,
-        dt=dt,
-        x_max=x_max,
-        x_step=x_step,
-        n_list=n_list,
-        replications=replications,
-        seed=seed,
-        snapshot_times=snapshot_times,
-    )
-    grid = scenario.time_grid()
-    for t in snapshot_times:
+        fail(x_key, f"x_max/x_step gives more than {_MAX_X_CELLS} x-grid cells")
+    grid = time_grid(horizon, dt)
+    for t in values["snapshot_times"]:
+        if not 0 <= t <= horizon:
+            fail("snapshot_times", f"time {t!r} lies outside [0, horizon]")
         if np.min(np.abs(grid - t)) > 1e-9:
-            fail("snapshot_times", f"snapshot_times: time {t!r} is not on the dt grid")
-    # surface time-zero consistency and law construction problems now
-    try:
-        scenario.build_service()
-        scenario.build_rate()
-        tail0 = scenario.build_initial_tail()
-        check_initial_consistency(tail0.total_mass, scenario.q0)
-    except (ValueError, ArithmeticError) as exc:
-        raise ScenarioError(str(exc)) from exc
+            fail("snapshot_times", f"time {t!r} is not on the dt grid")
+
+    scenario = Scenario(**values)
+    at("service", scenario.build_service)
+    at("rate", scenario.build_rate)
+    tail0 = at("initial", scenario.build_initial_tail)
+    at("q0", check_initial_consistency, tail0.total_mass, scenario.q0)
     return scenario
-
-
-def _format_law(kind, params) -> str:
-    def fmt(name, value):
-        if name in _PAIR_PARAMS:
-            return ",".join(f"{float(a)!r}:{float(b)!r}" for a, b in value)
-        return repr(float(value))
-
-    return " ".join([kind, *(f"{name}={fmt(name, value)}" for name, value in params)])
 
 
 def serialize_scenario(sc: Scenario) -> str:
     """Canonical text form; parsing it reproduces the scenario exactly."""
-    lines = [
-        f"name = {sc.name}",
-        f"lambda = {float(sc.lam)!r}",
-        f"arrival = {sc.arrival_kind}",
-        f"service = {_format_law(sc.service_kind, sc.service_params)}",
-        f"rate = {_format_law(sc.rate_kind, sc.rate_params)}",
-        f"initial = {_format_law(sc.initial_kind, sc.initial_params)}",
-        f"q0 = {float(sc.q0)!r}",
-        f"horizon = {float(sc.horizon)!r}",
-        f"dt = {float(sc.dt)!r}",
-        f"x_max = {float(sc.x_max)!r}",
-        f"x_step = {float(sc.x_step)!r}",
-        f"n_list = {','.join(str(n) for n in sc.n_list)}",
-        f"replications = {sc.replications}",
-        f"seed = {sc.seed}",
-        f"snapshot_times = {','.join(repr(float(t)) for t in sc.snapshot_times)}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {entry.format(getattr(sc, entry.field or key))}\n"
+                   for key, entry in KEYS.items())
 
 
 def scenario_hash(sc: Scenario) -> str:

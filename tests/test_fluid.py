@@ -39,6 +39,15 @@ def params_for(lam, horizon=5.0, dt=1e-3, service=None, rate=None,
     )
 
 
+def solve_from_another_guess(monkeypatch, p):
+    """The count path with each node's fixed-point iteration started 0.5
+    above the last solved value, the solver's own first iterate."""
+    plain = fm._fixed_point
+    monkeypatch.setattr(fm, "_fixed_point",
+                        lambda update, guess, where: plain(update, guess + 0.5, where))
+    return fm.solve_count_path(p)
+
+
 def queue_mid_block_path():
     """A path off the solution whose drain coefficient is first positive at
     row 400, inside the defect's second block of 256 rows: the first block
@@ -124,25 +133,25 @@ class TestSolveCount:
         crossing = p.times[int(np.argmax(x >= 1.0))]
         assert abs(crossing - math.log(2.0)) <= 2 * p.dt_effective
 
-    def test_two_picard_starts_agree(self, underloaded):
+    def test_two_picard_starts_agree(self, underloaded, monkeypatch):
         p, x, _ = underloaded
-        alt, _ = fm.solve_count_path(p, start="h1")
+        alt, _ = solve_from_another_guess(monkeypatch, p)
         assert np.max(np.abs(alt - x)) <= 10 * fm.defect_tolerance(x)
 
-    def test_two_starts_agree_state_dependent(self):
+    def test_two_starts_agree_state_dependent(self, monkeypatch):
         p = params_for(1.2, horizon=2.0, dt=2e-3,
                        service=make_lognormal(0.0, 0.5),
                        rate=capped_linear_rate(0.5, 1.0, 2.0))
-        a, _ = fm.solve_count_path(p, start="constant")
-        b, _ = fm.solve_count_path(p, start="h1")
+        a, _ = fm.solve_count_path(p)
+        b, _ = solve_from_another_guess(monkeypatch, p)
         assert np.max(np.abs(a - b)) <= 10 * fm.defect_tolerance(a)
 
-    def test_tabulated_rate_solves(self):
+    def test_tabulated_rate_solves(self, monkeypatch):
         k = table_rate([0.0, 0.5, 1.5], [1.5, 1.0, 1.0])
         p = params_for(0.8, horizon=2.0, dt=2e-3, rate=k)
         x, diag = fm.solve_count_path(p)
         assert fm.fixed_point_defect(p, x) <= fm.defect_tolerance(x)
-        b, _ = fm.solve_count_path(p, start="h1")
+        b, _ = solve_from_another_guess(monkeypatch, p)
         assert np.max(np.abs(b - x)) <= 10 * fm.defect_tolerance(x)
         assert np.all(x >= 0.0) and float(np.max(x)) < 1.0  # stays underloaded
 

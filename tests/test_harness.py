@@ -146,7 +146,8 @@ class TestConvergence:
         assert [(r.n, r.seed) for r in report.rows] == [(5, 1), (5, 2), (10, 1), (10, 2)]
         for r in report.rows:
             assert np.isnan([r.count_gap, r.queue_gap, r.starts_gap]).all()
-            assert r.measure_gaps == ()
+            assert [t for t, _ in r.measure_gaps] == list(scenario.snapshot_times)
+            assert np.isnan([d for _, d in r.measure_gaps]).all()
 
     def test_sampled_initial_scenarios_converge(self, solved):
         # warm starts exercise the inverse-transform initial sampling and

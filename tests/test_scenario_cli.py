@@ -2,6 +2,7 @@ import contextlib
 import importlib.util
 import io
 import multiprocessing
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from fluidq import cli, harness
 from fluidq import fluid as fluid_mod
+from fluidq import scenario as scenario_mod
 from fluidq.scenario import (
+    KEYS,
     Scenario,
     ScenarioError,
     load_scenario,
@@ -135,6 +138,11 @@ BAD_NUMBER_LINES = [
     "replications = 1e9",  # the CLI would build a billion seeds
     "x_step = 1e-9",  # a 1e10-point x-grid
     "x_max = 1e9",
+    # a builder's or a check's error names the key it comes from
+    "initial = grid points=1:0.5,2:0",
+    "service = lognormal mu=0 sigma=-1",
+    "q0 = 1.0",  # the empty initial tail leaves no queue
+    "n_list = 10,10",
 ]
 
 
@@ -142,8 +150,8 @@ class TestParse:
     def test_minimal_defaults(self):
         sc = parse_scenario(MINIMAL)
         assert sc.name == "minimal"
-        assert sc.arrival_kind == "exponential"
-        assert sc.initial_kind == "empty"
+        assert sc.arrival == "exponential"
+        assert sc.initial == ("empty", ())
         assert sc.q0 == 0.0
         assert sc.dt == 1e-3
         assert sc.x_max == 10.0 and sc.x_step == 0.05
@@ -151,6 +159,13 @@ class TestParse:
         assert sc.replications == 3
         assert sc.seed == 12345
         assert sc.snapshot_times == (1.0, 2.5, 5.0)
+
+    def test_docstring_lists_the_key_table(self):
+        # one schema line per key, in the table's order, with its default text
+        listed = re.findall(r"^    (\w+) +(?:required|default ([^;\s]+))", scenario_mod.__doc__, re.M)
+        assert listed == [(key, "" if k.default is scenario_mod.REQUIRED
+                           else "T/5,T/2,T" if callable(k.default) else k.default)
+                          for key, k in KEYS.items()]
 
     def test_unknown_key_rejected_with_line(self):
         with pytest.raises(ScenarioError, match="line 3: unknown key 'colour'"):
@@ -377,6 +392,14 @@ class TestCli:
         assert capsys.readouterr().err == "error: --seed must be >= 0, got -5\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "compare", "gc-check"])
+    def test_repeated_n_override_is_config_error(self, tmp_path, tiny_scenario, command, capsys):
+        out = tmp_path / "out"
+        assert run_cli([command, "--scenario", str(tiny_scenario), "--out", str(out),
+                        "--n", "10,5,10", "--quiet"]) == 2
+        assert capsys.readouterr().err == "error: --n repeats an n, got '10,5,10'\n"
+        assert not out.exists()
+
     def test_non_utf8_scenario_is_config_error(self, tmp_path, capsys):
         scn = tmp_path / "latin1.scn"
         scn.write_bytes(MINIMAL.replace("minimal", "caf\xe9").encode("latin-1"))
@@ -405,7 +428,8 @@ class TestCli:
     @pytest.mark.parametrize("line", BAD_NUMBER_LINES)
     def test_bad_number_is_config_error_naming_its_line(self, tmp_path, line):
         text, line_no = _with_line(MINIMAL, line)
-        with pytest.raises(ScenarioError, match=f"^line {line_no}: "):
+        key = line.split("=", 1)[0].strip()
+        with pytest.raises(ScenarioError, match=f"^line {line_no}: {key}: "):
             parse_scenario(text)
         scn = tmp_path / "bad.scn"
         scn.write_text(text)
