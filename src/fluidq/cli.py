@@ -12,10 +12,10 @@ Every artifact header carries the scenario hash and the seed, and
 identical inputs produce byte-identical artifacts.  A command computes
 all of its artifacts before the first is written, so a run writes nothing
 unless it succeeds.  ``simulate`` and ``compare`` run their (n, seed)
-jobs, and ``solve`` and ``compare`` the defect's row blocks, on forked
-workers (``fluid.run_jobs``); only this process writes and prints, in
-(n, seed) order.  This module owns the artifact format: every
-table goes through ``_table``.
+jobs, and ``solve`` and ``compare`` the row blocks of the defect and of
+the tail surface, on forked workers (``fluid.run_jobs``); only this
+process writes and prints, in (n, seed) order.  This module owns the
+artifact format: every table goes through ``_table``.
 """
 
 from __future__ import annotations

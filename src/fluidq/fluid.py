@@ -36,8 +36,8 @@ a queue forms ((X - 1)^+ k(X) != 0 on a column), then Gc and g together
 takes the rows DEFECT_BLOCK_ROWS at a time, each block one ``run_jobs``
 job, so every block runs whole and serially in some process and every
 float is the serial one.  ``run_jobs`` spreads independent keyed jobs over
-one forked worker per CPU; the harness and the CLI run their (n, seed)
-simulations on it too.
+one forked worker per CPU; the tail surface's rows and the (n, seed)
+simulations of the harness and the CLI run on it too.
 
 The tail surface z(t, x) of the limiting residual-work measure is a
 midpoint Stieltjes sum of Gc against the cumulative service-start path
@@ -291,9 +291,10 @@ def solve_count_path(params: FluidParams, march: str | None = None):
     return x, diag
 
 
-def _fixed_point(update, guess, where: str):
+def _fixed_point(update, guess, where):
     """Iterate the scalar map ``update`` from ``guess`` until a finite change
-    within PICARD_TOL_FACTOR * (1 + |x|).  Returns (x, iterations)."""
+    within PICARD_TOL_FACTOR * (1 + |x|).  Returns (x, iterations); the
+    error names the node by ``where()``."""
     x = guess
     for it in range(1, MAX_PICARD_ITERATIONS + 1):
         new = update(x)
@@ -302,7 +303,7 @@ def _fixed_point(update, guess, where: str):
         if math.isfinite(change) and change <= PICARD_TOL_FACTOR * (1.0 + abs(x)):
             return x, it
     raise FluidSolverError(
-        f"no convergence {where} in {MAX_PICARD_ITERATIONS} iterations "
+        f"no convergence {where()} in {MAX_PICARD_ITERATIONS} iterations "
         f"(last change {change:.3g})"
     )
 
@@ -353,7 +354,7 @@ def _drain_march(params: FluidParams, diag: SolveDiagnostics) -> np.ndarray:
         x[m], it = _fixed_point(
             lambda v: lagged + lag0_arrivals / rate(v) + lag0_drain * max(v - 1.0, 0.0),
             x[m - 1],
-            f"at drain {m * du:.6g}",
+            lambda: f"at drain {m * du:.6g}",
         )
         inv_next = 1.0 / rate(x[m])
         t[m] = t[m - 1] + 0.5 * du * (inv_k + inv_next)
@@ -387,7 +388,7 @@ def _time_march(params: FluidParams, x: np.ndarray, diag: SolveDiagnostics):
 
     for i in range(1, x.size):
         x[i], it = _fixed_point(
-            lambda v: update(v, i), x[i - 1], f"on [{times[i - 1]:.6g}, {times[i]:.6g}]"
+            lambda v: update(v, i), x[i - 1], lambda: f"on [{times[i - 1]:.6g}, {times[i]:.6g}]"
         )
         follow(x[i], i)
         diag.windows.append(it)
@@ -511,33 +512,45 @@ def tail_on_grid(
     prefix and each row's sum is one matrix-vector product.  Otherwise, as
     when k reaches 0 and K stalls while B grows, the intervals are those
     of the time grid, and a row's arguments are taken in blocks of whole
-    x-columns, at most MAX_TABLE_ENTRIES of them unless one column has more."""
+    x-columns, at most MAX_TABLE_ENTRIES of them unless one column has more.
+    Lattice rows go out 4 * _cpus() at a time as ``run_jobs`` jobs keyed by
+    the block's last row, the costliest first, each row the serial one; a
+    block's worth of rows (the harness's snapshots) and the time-grid rows,
+    whose BLAS threads would oversubscribe forked workers, stay here."""
     x_grid = np.asarray(x_grid, dtype=float)
     svc_tail = params.service.tail
     rows = np.asarray(t_index, dtype=int)
-    z = np.asarray(params.initial_tail(x_grid + drained[rows.ravel(), None]), dtype=float)
+    flat = rows.ravel()
+    z = np.asarray(params.initial_tail(x_grid + drained[flat, None]), dtype=float)
     lattice = _drain_lattice(params, x_grid, float(np.max(drained[rows], initial=0.0)))
     if lattice is not None:
         du, r = lattice
-        steps = [int(math.ceil(drained[i] / du - 1e-9)) for i in rows.ravel()]
+        steps = [int(math.ceil(drained[i] / du - 1e-9)) for i in flat]
         table = svc_tail(du * (np.arange((x_grid.size - 1) * r + max(steps, default=0)) + 0.5))
-    for row, i in enumerate(rows.ravel()):
-        if i == 0:
-            continue
-        if lattice is None:
-            db = np.diff(started[: i + 1])
-            lag = drained[i] - 0.5 * (drained[:i] + drained[1 : i + 1])
-            width = max(1, MAX_TABLE_ENTRIES // i)  # i x width arguments per block
-            for c in range(0, x_grid.size, width):
-                z[row, c : c + width] += svc_tail(x_grid[None, c : c + width] + lag[:, None]).T @ db
-        else:
-            nodes = drained[i] - du * np.arange(steps[row] + 1)
-            nodes[-1] = 0.0  # the last interval ends where the drain starts
-            b = np.interp(nodes, drained[: i + 1], started[: i + 1])
-            hankel = as_strided(table, shape=(x_grid.size, steps[row]),
-                                strides=(r * table.itemsize, table.itemsize), writeable=False)
-            z[row] += hankel @ (b[:-1] - b[1:])
-    return z.reshape(rows.shape + x_grid.shape)
+    size = 4 * _cpus() if lattice else max(flat.size, 1)
+
+    def block(key):
+        a = key[1]
+        for row, i in enumerate(flat[a : a + size], start=a):
+            if i == 0:
+                continue
+            if lattice is None:
+                db = np.diff(started[: i + 1])
+                lag = drained[i] - 0.5 * (drained[:i] + drained[1 : i + 1])
+                width = max(1, MAX_TABLE_ENTRIES // i)  # i x width arguments per block
+                for c in range(0, x_grid.size, width):
+                    z[row, c : c + width] += svc_tail(x_grid[None, c : c + width] + lag[:, None]).T @ db
+            else:
+                nodes = drained[i] - du * np.arange(steps[row] + 1)
+                nodes[-1] = 0.0  # the last interval ends where the drain starts
+                b = np.interp(nodes, drained[: i + 1], started[: i + 1])
+                hankel = as_strided(table, shape=(x_grid.size, steps[row]),
+                                    strides=(r * table.itemsize, table.itemsize), writeable=False)
+                z[row] += hankel @ (b[:-1] - b[1:])
+        return z[a : a + size]
+
+    keys = [(flat[min(a + size, flat.size) - 1], a) for a in range(0, flat.size, size)]
+    return np.concatenate([z[:0], *run_jobs(block, keys)]).reshape(rows.shape + x_grid.shape)
 
 
 def _grid_index(times: np.ndarray, t: float) -> int:

@@ -323,9 +323,11 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"missing required key '{key}'")
         values[entry.field or key] = text(values) if callable(text) else at(key, entry.parse, text)
 
+    # a check across keys names the first of its keys that the file gives
     horizon, dt = values["horizon"], values["dt"]
+    t_key = "dt" if "dt" in lines else "horizon"
     if not horizon / dt <= _MAX_TIME_STEPS:
-        fail("dt", f"gives more than {_MAX_TIME_STEPS} time steps on [0, horizon]")
+        fail(t_key, f"gives more than {_MAX_TIME_STEPS} time steps on [0, horizon]")
     x_max, x_step = values["x_max"], values["x_step"]
     x_key = "x_step" if "x_step" in lines else "x_max"
     if x_step > x_max:
@@ -343,7 +345,7 @@ def parse_scenario(text: str) -> Scenario:
     at("service", scenario.build_service)
     at("rate", scenario.build_rate)
     tail0 = at("initial", scenario.build_initial_tail)
-    at("q0", check_initial_consistency, tail0.total_mass, scenario.q0)
+    at("q0" if "q0" in lines else "initial", check_initial_consistency, tail0.total_mass, scenario.q0)
     return scenario
 
 

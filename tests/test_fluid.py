@@ -249,10 +249,11 @@ class TestSolveCount:
 
     def test_overflowing_iterate_is_not_converged(self):
         # one step of length 1 where g(0)*dt/2 = 5e5: the Picard iterate
-        # overflows to inf, which must not count as a converged window
+        # overflows to inf, which must not count as a converged window; the
+        # error names the node
         p = params_for(3.0, horizon=1.0, dt=1.0, service=make_exponential(1e6))
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(fm.FluidSolverError, match="no convergence"):
+            with pytest.raises(fm.FluidSolverError, match="^no convergence at drain 1 in 80 "):
                 fm.solve_count_path(p)
 
 
@@ -379,6 +380,27 @@ class TestTailSurface:
         assert rows.shape == (len(idx), xs.size)
         for row, i in zip(rows, idx):
             assert row.tolist() == fm.tail_on_grid(p, drained, started, i, xs).tolist()
+
+    def test_rows_do_not_depend_on_the_cpu_count(self, monkeypatch):
+        # the rows go out in blocks on forked workers; each row is the one
+        # computed alone, and no worker outlives the call
+        import multiprocessing
+
+        p = params_for(1.2, horizon=2.0, dt=2e-3, rate=capped_linear_rate(0.5, 1.0, 2.0))
+        x, _ = fm.solve_count_path(p)
+        drained = fm.cumulative_drain(x, p.rate, p.dt_effective)
+        _, started = fm.queue_and_starts(x, p.arrival_rate, p.times)
+        xs = 0.25 * np.arange(13)
+        idx = np.arange(0, p.steps + 1, 10)
+        alone = [fm.tail_on_grid(p, drained, started, i, xs).tolist() for i in idx]
+        run_jobs, jobs = fm.run_jobs, []
+        monkeypatch.setattr(fm, "run_jobs", lambda fn, keys: jobs.append(len(keys)) or run_jobs(fn, keys))
+        for cpus in (1, 2, 5):
+            monkeypatch.setattr(fm, "_cpus", lambda: cpus)
+            assert fm.tail_on_grid(p, drained, started, idx, xs).tolist() == alone
+            assert multiprocessing.active_children() == []
+            assert jobs.pop() > cpus  # more blocks than workers
+        assert jobs == []
 
     def test_off_grid_time_rejected(self, underloaded):
         p, _, _ = underloaded

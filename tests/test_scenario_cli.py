@@ -143,6 +143,9 @@ BAD_NUMBER_LINES = [
     "service = lognormal mu=0 sigma=-1",
     "q0 = 1.0",  # the empty initial tail leaves no queue
     "n_list = 10,10",
+    # a check across keys names the first of its keys that the file gives
+    "horizon = 100000",  # 10^8 steps at the default dt
+    "initial = grid points=0:1.5,1:0",  # mass 1.5 and the default q0 = 0
 ]
 
 
@@ -584,8 +587,9 @@ class TestCli:
 
 
 class TestWorkers:
-    """simulate and compare run their (n, seed) jobs on one forked worker
-    per CPU; nothing a run writes or prints may depend on that count."""
+    """simulate and compare run their (n, seed) jobs, and solve its defect
+    blocks and surface rows, on one forked worker per CPU; nothing a run
+    writes or prints may depend on that count."""
 
     @pytest.fixture()
     def coarse_state_dependent(self, tmp_path, scenario_dir):
@@ -609,7 +613,7 @@ class TestWorkers:
     def test_same_output_for_any_cpu_count(self, tmp_path, monkeypatch, coarse_state_dependent):
         seen = {}
         for cpus in (1, 2, 3):
-            for command in ("simulate", "compare"):
+            for command in ("simulate", "compare", "solve"):
                 out = tmp_path / f"{command}_{cpus}"
                 code, stdout, stderr = self._main(monkeypatch, cpus, [
                     command, "--scenario", str(coarse_state_dependent), "--out", str(out),
@@ -618,6 +622,7 @@ class TestWorkers:
                 files = {p.name: p.read_bytes() for p in out.iterdir()}
                 seen.setdefault(command, []).append((stdout, files))
         assert len(seen["simulate"][0][1]) == 2 * 3 * 5 and seen["simulate"][0][0].count("\n") == 15
+        assert sorted(seen["solve"][0][1]) == ["solution.tsv", "tail_surface.tsv"]
         for command, runs in seen.items():
             assert runs[1:] == runs[:1] * 2, command
 
