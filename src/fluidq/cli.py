@@ -6,8 +6,9 @@
     fluidq gc-check --scenario s.scn --out dir    block empirical-measure deviations
 
 Common flags: --seed (base-seed override) and --n (comma list override),
-read by the parsers of the scenario keys ``seed`` and ``n_list``, and
---quiet.  Exit codes: 0 ok, 2 configuration error, 3 numeric failure.
+read by the parsers of the scenario keys ``seed`` and ``n_list`` (and
+held to the scenario's cap on customers per run), and --quiet.  Exit
+codes: 0 ok, 2 configuration error, 3 numeric failure.
 Every artifact header carries the scenario hash and the seed, and
 identical inputs produce byte-identical artifacts.  A command computes
 all of its artifacts before the first is written, so a run writes nothing
@@ -30,7 +31,7 @@ import numpy as np
 from .fluid import FluidAccuracyError, FluidSolution, FluidSolverError, run_jobs, solve
 from .harness import ConvergenceReport, convergence_experiment, glivenko_cantelli_check, run_scenario_once
 from .measures import AtomicMeasure
-from .scenario import KEYS, load_scenario, scenario_hash
+from .scenario import KEYS, check_n_list, load_scenario, scenario_hash
 from .simulate import Trajectory
 
 EXIT_OK = 0
@@ -214,10 +215,10 @@ def _cmd_gc_check(scenario, n_list, seed, say):
     return {"gc.tsv": _table(header, ("n", "max_deviation"), rows)}
 
 
-def _override(flag, key, text):
-    """``text`` of ``flag`` read by the scenario key's parser, errors naming ``flag``."""
+def _override(flag, parse, text):
+    """``text`` of ``flag`` read by ``parse``, errors naming ``flag``."""
     try:
-        return KEYS[key].parse(text)
+        return parse(text)
     except ValueError as exc:
         raise ValueError(f"{flag} {exc}") from None
 
@@ -236,8 +237,10 @@ def main(argv=None) -> int:
             raise ValueError(f"cannot read scenario: {exc}") from exc
         if args.command in ("solve", "compare") and not scenario.horizon > 0.0:
             raise ValueError(f"{args.command} needs horizon > 0, got {scenario.horizon!r}")
-        n_list = scenario.n_list if args.n is None else _override("--n", "n_list", args.n)
-        base_seed = scenario.seed if args.seed is None else _override("--seed", "seed", args.seed)
+        n_list = scenario.n_list if args.n is None else _override(
+            "--n", lambda text: check_n_list(scenario, KEYS["n_list"].parse(text)), args.n)
+        base_seed = scenario.seed if args.seed is None else _override("--seed", KEYS["seed"].parse,
+                                                                      args.seed)
         seeds = [base_seed + r for r in range(scenario.replications)]
         # an overflow or a NaN anywhere in a command is a numeric failure
         with np.errstate(over="raise", invalid="raise"):

@@ -29,9 +29,10 @@ one line per key of the ``KEYS`` table, in its order:
                     ``round(T/dt)`` equal steps on [0, T], to within 1e-9
 
 Every number, law parameters and x:y pairs included, must be finite.
-``T/dt`` may not exceed 10^7 steps, ``x_max/x_step`` 10^5 cells, and
-``replications`` 10^6.  The law kinds, with their parameters and
-builders, are listed once, in the ``_LAWS`` table below.
+``T/dt`` may not exceed 10^7 steps, ``x_max/x_step`` 10^5 cells,
+``replications`` 10^6, and ``n*(lambda*T + X0)``, the customers one run
+meets, 5*10^6 for any n of ``n_list``.  The law kinds, with their
+parameters and builders, are listed once, in the ``_LAWS`` table below.
 
 Unknown keys are rejected with their line number, and a bad value is
 rejected with its line number and its key.  Round trip holds: parsing
@@ -95,6 +96,11 @@ _PAIR_PARAMS = {"knots", "points"}
 _MAX_TIME_STEPS = 10**7
 _MAX_X_CELLS = 10**5
 _MAX_REPLICATIONS = 10**6
+# A run at n servers meets about n*(lambda*T + X0) customers, and makes up
+# to three events for each.  At the simulator's 1.4 M events/s and about
+# 230 bytes per customer present (overloaded_exp at n = 1e5 and 4e5, 2-vCPU
+# Xeon), the cap holds one run to about 10 s and 1.2 GB.
+_MAX_CUSTOMERS = 5 * 10**6
 
 
 def _build(key, law, *args):
@@ -335,18 +341,31 @@ def parse_scenario(text: str) -> Scenario:
     if not x_max / x_step <= _MAX_X_CELLS:
         fail(x_key, f"x_max/x_step gives more than {_MAX_X_CELLS} x-grid cells")
     grid = time_grid(horizon, dt)
+    s_key = "snapshot_times" if "snapshot_times" in lines else t_key
     for t in values["snapshot_times"]:
         if not 0 <= t <= horizon:
-            fail("snapshot_times", f"time {t!r} lies outside [0, horizon]")
+            fail(s_key, f"time {t!r} lies outside [0, horizon]")
         if np.min(np.abs(grid - t)) > 1e-9:
-            fail("snapshot_times", f"time {t!r} is not on the dt grid")
+            fail(s_key, f"time {t!r} is not on the dt grid")
 
     scenario = Scenario(**values)
     at("service", scenario.build_service)
     at("rate", scenario.build_rate)
     tail0 = at("initial", scenario.build_initial_tail)
     at("q0" if "q0" in lines else "initial", check_initial_consistency, tail0.total_mass, scenario.q0)
+    at("n_list" if "n_list" in lines else "lambda", check_n_list, scenario, scenario.n_list)
     return scenario
+
+
+def check_n_list(sc: Scenario, n_list) -> tuple:
+    """``n_list``, unless one of its n would meet more than
+    ``_MAX_CUSTOMERS`` customers in one run of ``sc``."""
+    per_server = sc.lam * sc.horizon + sc.build_initial_tail().total_mass + sc.q0
+    for n in n_list:
+        if not n * per_server <= _MAX_CUSTOMERS:
+            raise ValueError(f"{n} gives about {n * per_server:.3g} customers per run, "
+                             f"n*(lambda*horizon + X0), more than {_MAX_CUSTOMERS}")
+    return n_list
 
 
 def serialize_scenario(sc: Scenario) -> str:

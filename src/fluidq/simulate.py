@@ -6,8 +6,12 @@ customers in the system, and X only changes at events, so the rate is
 piecewise constant and every departure time is exact.  Remaining work is
 tracked through a single cumulative drain offset: a customer entering
 service at offset o with requirement v departs when the offset reaches
-o + v.  Events therefore cost O(log m) with m customers in service, and the
-work integral over any service interval is an exact difference of offsets.
+o + v.  The customers in service are a heap of these finish offsets, bare
+floats, so the residual-work measure is the heap's keys less the drain.
+Events therefore cost O(log m) float comparisons with m customers in
+service, and the work integral over any service interval is an exact
+difference of offsets.  Which customer holds an offset is looked up only
+by runs that record.
 
 X moves by +-1, so each simulator tabulates k(X/n) per integer count on
 first use and never evaluates the rate function twice at one count.
@@ -58,21 +62,27 @@ class CustomerRecord:
 class SimState:
     """Full queue state; counters are exact integers.
 
-    ``heap`` holds (finish_offset, customer_index) for customers in
-    service, ordered by when the cumulative drain will reach them.
-    ``started`` is the index of the last customer to have entered service,
-    which always equals arrivals - queue length (initial customers carry
-    indices <= 0).  ``records`` stays empty until the first run that
-    records, which enters the customers present at time 0 from ``heap``
-    and ``queue``; a run adds to and updates it only when it records.
-    ``unrecorded_events`` counts the events of runs that did not record,
-    which left no trace in ``records``.
+    ``heap`` is a heap of the finish offsets of the customers in service,
+    bare floats: a customer's residual work is its offset less
+    ``drained``.  ``serving`` maps each finish offset to the indices of
+    the customers in service with that offset, a list because offsets can
+    tie exactly.  ``init`` fills it and only runs that record update it,
+    so it is current while ``unrecorded_events`` is 0, the only time
+    anything reads it.  ``started`` is the index of the last customer to
+    have entered service, which always equals arrivals - queue length
+    (initial customers carry indices <= 0).  ``records`` stays empty
+    until the first run that records, which enters the customers present
+    at time 0 from ``serving`` and ``queue``; a run adds to and updates
+    it only when it records.  ``unrecorded_events`` counts the events of
+    runs that did not record, which left no trace in ``records`` or
+    ``serving``.
     """
 
     n: int
     clock: float = 0.0
     drained: float = 0.0
     heap: list = field(default_factory=list)
+    serving: dict = field(default_factory=dict)
     queue: deque = field(default_factory=deque)
     arrivals: int = 0
     departures: int = 0
@@ -93,7 +103,7 @@ class SimState:
             raise AssertionError("busy servers != min(count, n)")
         if self.started != self.arrivals - waiting:
             raise AssertionError("start counter out of sync")
-        if self.heap and self.heap[0][0] - self.drained < -RESIDUAL_TOL:
+        if self.heap and self.heap[0] - self.drained < -RESIDUAL_TOL:
             raise AssertionError("negative residual work: internal bug")
 
 
@@ -120,7 +130,8 @@ def init(n: int, residuals: Sequence[float] = (), queue_requirements: Sequence[f
     state = SimState(n=n, started=-q0, count=x0, initial_count=x0)
     idx = -x0 + 1
     for v in residuals:
-        heappush(state.heap, (v, idx))
+        heappush(state.heap, v)
+        state.serving.setdefault(v, []).append(idx)
         idx += 1
     for v in queue_requirements:
         state.queue.append((idx, v))
@@ -131,10 +142,10 @@ def init(n: int, residuals: Sequence[float] = (), queue_requirements: Sequence[f
 
 def _initial_records(state: SimState) -> dict:
     """Records of the customers present at time 0, in index order, read
-    off a state that no event has touched: each heap key is then the
-    customer's requirement."""
+    off a state that no event has touched: ``serving`` is then as ``init``
+    filled it, and each of its offsets is its customers' requirement."""
     records = {}
-    for v, idx in sorted(state.heap, key=lambda entry: entry[1]):
+    for idx, v in sorted((idx, v) for v, held in state.serving.items() for idx in held):
         records[idx] = CustomerRecord(
             requirement=v, arrival_time=None, start_time=0.0, start_drained=0.0
         )
@@ -283,10 +294,10 @@ class Simulator:
         [0, horizon] by default) and the residual-work measure at
         ``snapshot_times``; a point at time t sees the state before any
         event at t.  The points from the first one past the horizon on are
-        dropped.  The event log and the customer records are kept only
-        with ``record``.  A state that has run events without ``record``
-        refuses it from then on, since those events left no records to
-        update.
+        dropped.  The event log, the customer records and the state's
+        ``serving`` map are kept only with ``record``.  A state that has
+        run events without ``record`` refuses it from then on, since those
+        events left no records to update and ``serving`` stale.
 
         The loop keeps the state's scalars in locals and writes them back
         when it stops.  After every event it tests the five invariants of
@@ -311,7 +322,7 @@ class Simulator:
         grid = _upto(np.asarray(grid, dtype=float).tolist(), horizon)
         snaps_at = _upto(sorted(float(t) for t in snapshot_times), horizon)
         n = self.n
-        heap, queue, records = s.heap, s.queue, s.records
+        heap, serving, queue, records = s.heap, s.serving, s.queue, s.records
         clock, drained = s.clock, s.drained
         arrivals, departures, started, count = s.arrivals, s.departures, s.started, s.count
         counters_before = arrivals + departures + started
@@ -330,7 +341,7 @@ class Simulator:
         arr = self._next_arrival
         try:
             while True:
-                dep = inf if not heap or r <= 0.0 else clock + (heap[0][0] - drained) / r
+                dep = inf if not heap or r <= 0.0 else clock + (heap[0] - drained) / r
                 t_next = dep if dep <= arr else arr
                 if t_sample < t_next:
                     while grid[gi] < t_next:
@@ -345,8 +356,7 @@ class Simulator:
                     while snaps_at[si] < t_next:
                         t = snaps_at[si]
                         d = drained + r * (t - clock)
-                        locs = np.fromiter((key - d for key, _ in heap), dtype=float,
-                                           count=len(heap))
+                        locs = np.array(heap, dtype=float) - d
                         snapshots.append(Snapshot(t, AtomicMeasure(locs, np.ones_like(locs)), d))
                         si += 1
                     t_sample = min(grid[gi], snaps_at[si])
@@ -354,13 +364,15 @@ class Simulator:
                     break
                 if dep <= arr:
                     clock = dep
-                    drained = heap[0][0]  # exact: kills accumulation drift
-                    leaving = []
-                    while heap and heap[0][0] <= drained + RESIDUAL_TOL:
-                        leaving.append(heappop(heap)[1])
-                    departures += len(leaving)
-                    count -= len(leaving)
+                    drained = heap[0]  # exact: kills accumulation drift
+                    gone = []
+                    while heap and heap[0] <= drained + RESIDUAL_TOL:
+                        gone.append(heappop(heap))
+                    departures += len(gone)
+                    count -= len(gone)
                     if record:
+                        # every customer at a popped offset left with it
+                        leaving = [idx for key in set(gone) for idx in serving.pop(key)]
                         for idx in sorted(leaving):
                             rec = records[idx]
                             rec.departure_time = dep
@@ -371,8 +383,10 @@ class Simulator:
                         if idx != started + 1:
                             raise AssertionError("FCFS violated in queue admission")
                         started = idx
-                        heappush(heap, (drained + v, idx))
+                        key = drained + v
+                        heappush(heap, key)
                         if record:
+                            serving.setdefault(key, []).append(idx)
                             rec = records[idx]
                             rec.start_time = dep
                             rec.start_drained = drained
@@ -393,8 +407,10 @@ class Simulator:
                         if idx != started + 1:
                             raise AssertionError("FCFS violated on direct entry")
                         started = idx
-                        heappush(heap, (drained + v, idx))
+                        key = drained + v
+                        heappush(heap, key)
                         if record:
+                            serving.setdefault(key, []).append(idx)
                             rec.start_time = arr
                             rec.start_drained = drained
                             events.append(Event(arr, START, idx))
@@ -410,7 +426,7 @@ class Simulator:
                         or waiting != (count - n if count > n else 0)
                         or busy != (count if count < n else n)
                         or started != arrivals - waiting
-                        or (heap and heap[0][0] - drained < neg_tol)):
+                        or (heap and heap[0] - drained < neg_tol)):
                     break
         finally:
             s.clock, s.drained = clock, drained

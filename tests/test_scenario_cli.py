@@ -20,6 +20,7 @@ from fluidq.scenario import (
     KEYS,
     Scenario,
     ScenarioError,
+    check_n_list,
     load_scenario,
     parse_scenario,
     scenario_hash,
@@ -146,6 +147,8 @@ BAD_NUMBER_LINES = [
     # a check across keys names the first of its keys that the file gives
     "horizon = 100000",  # 10^8 steps at the default dt
     "initial = grid points=0:1.5,1:0",  # mass 1.5 and the default q0 = 0
+    "n_list = 10,1000000000",  # 2.5e9 customers per run at lambda*T = 2.5
+    "lambda = 1e7",  # 5e10 customers per run at the default n = 1000
 ]
 
 
@@ -222,13 +225,16 @@ class TestParse:
         with pytest.raises(ScenarioError, match="snapshot"):
             parse_scenario(MINIMAL + "snapshot_times = 1.0,9.0\n")
 
-    @pytest.mark.parametrize("text", [
-        # the default snapshot T/5 = 0.6 falls between the grid points 0.5 and 1
-        MINIMAL.replace("horizon = 5.0", "horizon = 3.0") + "dt = 0.5\n",
-        MINIMAL + "dt = 0.5\nsnapshot_times = 1.0,2.25\n",
-    ], ids=["default", "explicit"])
-    def test_snapshot_off_time_grid_rejected(self, text):
-        with pytest.raises(ScenarioError, match="snapshot_times.*not on the dt grid"):
+    @pytest.mark.parametrize("text, match", [
+        # the default snapshot T/5 = 0.6 falls between the grid points 0.5
+        # and 1, so the check names the key that gives the grid
+        (MINIMAL.replace("horizon = 5.0", "horizon = 3.0") + "dt = 0.5\n", r"^line \d+: dt: "),
+        (MINIMAL + "dt = 0.5\nsnapshot_times = 1.0,2.25\n", r"^line \d+: snapshot_times: "),
+        # the default dt = 0.001 makes one step on [0, 0.0013], which T/5 misses
+        (MINIMAL.replace("horizon = 5.0", "horizon = 0.0013"), r"^line \d+: horizon: "),
+    ], ids=["default", "explicit", "default_dt"])
+    def test_snapshot_off_time_grid_rejected(self, text, match):
+        with pytest.raises(ScenarioError, match=match + ".*not on the dt grid"):
             parse_scenario(text)
 
     def test_snapshot_on_coarse_time_grid_accepted(self):
@@ -402,6 +408,29 @@ class TestCli:
                         "--n", "10,5,10", "--quiet"]) == 2
         assert capsys.readouterr().err == "error: --n repeats an n, got '10,5,10'\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "solve", "compare", "gc-check"])
+    def test_n_override_past_the_customer_cap_is_config_error(self, tmp_path, tiny_scenario,
+                                                             command, capsys):
+        # refused before any run: 10^12 servers would meet 10^12 customers
+        out = tmp_path / "out"
+        assert run_cli([command, "--scenario", str(tiny_scenario), "--out", str(out),
+                        "--n", "5,1000000000000", "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --n 1000000000000 gives about 4e+11 customers per run, "
+            "n*(lambda*horizon + X0), more than 5000000")
+        assert not out.exists()
+
+    def test_customer_cap_is_inclusive(self):
+        # lambda*T = 2.5 per server: 2 000 000 servers meet the cap exactly
+        assert parse_scenario(MINIMAL + "n_list = 2000000\n").n_list == (2000000,)
+        with pytest.raises(ScenarioError, match=r"^line \d+: n_list: 2000001 gives about"):
+            parse_scenario(MINIMAL + "n_list = 10,2000001\n")
+
+    def test_shipped_scenarios_admit_n_1e5(self, scenario_dir):
+        for path in sorted(scenario_dir.glob("*.scn")):
+            sc = load_scenario(path)
+            assert check_n_list(sc, (100000,)) == (100000,), path.stem
 
     def test_non_utf8_scenario_is_config_error(self, tmp_path, capsys):
         scn = tmp_path / "latin1.scn"

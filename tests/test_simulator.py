@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fluidq import harness
+from fluidq import fluid, harness
 from fluidq.harness import run_scenario_once
 from fluidq.laws import (
     capped_linear_rate,
@@ -445,6 +445,13 @@ def _explicit_run(case, record):
     elif case == "zero_arrivals":
         sim = Simulator(3, make_exponential(1.0), constant_rate(1.0), state=init(3, **busy))
         traj = sim.run(3.0, snapshot_times=[0.2, 1.0], record=record)
+    elif case == "tied_offsets":
+        # two customers share each of the finish offsets 0.7 and drained(1.8) + 0.5,
+        # and leave as one event; the snapshots see the tied heaps
+        sim = Simulator(2, [0.5, 0.5, 0.3], capped_linear_rate(0.5, 1.0, 2.0),
+                        arrivals=[1.8, 1.8, 1.9],
+                        state=init(2, residuals=[0.7, 0.7], queue_requirements=[0.4, 0.9]))
+        traj = sim.run(4.0, snapshot_times=[0.2, 0.5, 2.0], record=record)
     else:  # horizon 0
         sim = Simulator(3, make_exponential(1.0), constant_rate(1.0), state=init(3, **busy),
                         arrivals=make_arrivals("exponential", 2.0), seed=5)
@@ -478,7 +485,8 @@ class TestRecording:
         self._assert_same_run([_scenario_run(monkeypatch, name, n, 11, record)
                                for record in (False, True)])
 
-    @pytest.mark.parametrize("case", ["explicit_arrivals", "zero_arrivals", "horizon_zero"])
+    @pytest.mark.parametrize("case", ["explicit_arrivals", "zero_arrivals", "tied_offsets",
+                                      "horizon_zero"])
     def test_explicit_runs(self, case):
         self._assert_same_run([_explicit_run(case, record) for record in (False, True)],
                               expect_events=case != "horizon_zero")
@@ -570,3 +578,68 @@ class TestInlinedInvariants:
         with pytest.raises(AssertionError, match="negative residual work"):
             sim.run(5.0)
         assert sim.state.clock == 0.1 and sim.state.arrivals == 1
+
+
+class TestInfiniteServerLaw:
+    """With Poisson arrivals, a constant rate and an empty start, the
+    queue is M/G/inf while fewer than n servers are busy: the number of
+    customers in service with residual work at least x at time t is then
+    Poisson with mean n*z(t, x) (Eick, Massey and Whitt, "The physics of
+    the Mt/G/inf queue", Oper. Res. 41, 1993), and the number of arrivals
+    by t is Poisson with mean n*lambda*t, the fluid B(t) while no one
+    waits.  At n = 1000 the in-service count of these scenarios sits near
+    500, some 20 standard deviations below n.
+
+    Over RUNS independent runs the sample mean m of a count of mean mu
+    has z-score (m - mu) / sqrt(mu / RUNS), and its dispersion index
+    D = s^2 / m has z-score (D - 1) * sqrt((RUNS - 1) / 2), both standard
+    normal in the limit.  Z_MAX was fixed from that law before the test
+    first ran: the 54 scores below exceed it with probability about
+    54 * 6e-5 under the law, the chi-square skew of the dispersion index
+    included, while a shift of 4 standard errors is 1.3% of the largest
+    in-service mean (n*z = 497) and 0.6% of the arrivals by t = 5."""
+
+    RUNS = 200
+    N = 1000
+    Z_MAX = 4.0
+
+    def _counts(self, name, times, xs):
+        """Per run and per time t, the arrivals by t, then for each x the
+        customers in service at t with residual work at least x, from a
+        run that does not record."""
+        scenario = load_scenario(SCENARIO_DIR / f"{name}.scn")
+        counts = np.empty((self.RUNS, len(times), 1 + len(xs)))
+        for seed in range(self.RUNS):
+            traj = run_scenario_once(scenario, self.N, seed, grid=times, snapshot_times=times)
+            assert not traj.queue.any()  # no one waits: started counts the arrivals
+            for i, sn in enumerate(traj.snapshots):
+                locations, weights = sn.measure.locations, sn.measure.weights
+                counts[seed, i] = [traj.started[i], *(weights[locations >= x].sum() for x in xs)]
+        assert counts[:, :, 1].max() < self.N  # the M/G/inf regime
+        return scenario, counts
+
+    def _assert_poisson(self, counts, mu):
+        mean, var = counts.mean(axis=0), counts.var(axis=0, ddof=1)
+        z_mean = (mean - self.N * mu) / np.sqrt(self.N * mu / self.RUNS)
+        z_dispersion = (var / mean - 1.0) * np.sqrt((self.RUNS - 1) / 2.0)
+        assert np.all(np.abs(z_mean) <= self.Z_MAX), z_mean
+        assert np.all(np.abs(z_dispersion) <= self.Z_MAX), z_dispersion
+
+    def test_underloaded_exp_counts_have_the_fluid_rows_as_mean(self):
+        # the means are the solver's own rows, not a closed form
+        times, xs = (1.0, 2.5, 5.0), (0.0, 0.5, 1.0, 2.0)
+        scenario, counts = self._counts("underloaded_exp", times, xs)
+        sol = fluid.solve(scenario.fluid_params(), x_grid=scenario.x_grid())
+        steps = [int(np.flatnonzero(np.isclose(sol.times, t))[0]) for t in times]
+        rows = [int(np.flatnonzero(np.isclose(sol.surface_times, t))[0]) for t in times]
+        cols = [int(np.flatnonzero(np.isclose(sol.x_grid, x))[0]) for x in xs]
+        self._assert_poisson(counts, np.column_stack(
+            [sol.started[steps], sol.tail_surface[np.ix_(rows, cols)]]))
+
+    def test_deterministic_service_counts_have_the_closed_form_mean(self):
+        # unit service: an arrival at s holds residual 1 - (t - s) until t = s + 1
+        times, xs = (0.5, 2.5), (0.0, 0.25, 0.5, 0.75, 0.9)
+        scenario, counts = self._counts("deterministic_service", times, xs)
+        t, x = np.meshgrid(times, xs, indexing="ij")
+        self._assert_poisson(counts, scenario.lam * np.column_stack(
+            [times, np.maximum(0.0, np.minimum(t, 1.0 - x))]))
