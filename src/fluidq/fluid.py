@@ -34,10 +34,11 @@ defect, with one law pass over each pair matrix K_i - K_j: Gc alone until
 a queue forms ((X - 1)^+ k(X) != 0 on a column), then Gc and g together
 (``ServiceLaw.tail_and_pdf``).  The defect needs O(N^2) such passes; it
 takes the rows DEFECT_BLOCK_ROWS at a time, each block one ``run_jobs``
-job, so every block runs whole and serially in some process and every
-float is the serial one.  ``run_jobs`` spreads independent keyed jobs over
-one forked worker per CPU; the tail surface's rows and the (n, seed)
-simulations of the harness and the CLI run on it too.
+job swept CHUNK_ROWS rows at a time, so a process holds CHUNK_ROWS x N
+pair arrays and every float is the serial one.  ``run_jobs`` spreads
+independent keyed jobs over one forked worker per CPU; the tail
+surface's rows and the (n, seed) simulations of the harness and the CLI
+run on it too.
 
 The tail surface z(t, x) of the limiting residual-work measure is a
 midpoint Stieltjes sum of Gc against the cumulative service-start path
@@ -66,6 +67,7 @@ PICARD_TOL_FACTOR = 1e-9   # a node's iteration stops at this * (1 + |X|)
 MAX_PICARD_ITERATIONS = 80
 MAX_NODES_PER_STEP = 16    # drain march only while k_sup/k_min is at most this
 DEFECT_BLOCK_ROWS = 256    # rows of the pair matrix in one defect job
+CHUNK_ROWS = 16            # rows of one law pass over the pair matrix
 MAX_TABLE_ENTRIES = 10**7  # tail_on_grid's table or block: 80 MB, as the parser's time grid
 
 
@@ -237,11 +239,11 @@ def _history(params, drain: np.ndarray, coeff: np.ndarray, i0: int, i1: int, dt:
         rhs[i] = h1(K_i) + sum_j w_ij lam Gc(K_i - K_j)
                  + sum_j w_ij g(K_i - K_j) coeff_j,
 
-    the last sum a matrix-vector product over the block, whose summation
-    order follows the block's shape.  Gc and g come from one law pass over
-    the pair matrix K_i - K_j; where coeff is 0 on columns 0..i1 (no queue
-    yet), the last sum is exactly 0 and the pass takes Gc alone (a NaN
-    coeff is not 0).
+    each sum a row-wise sum over columns 0..i1.  Gc and g come from one law
+    pass over the pair matrix K_i - K_j, CHUNK_ROWS rows at a time, so a
+    row's floats depend on i1 alone, not on the chunk or on BLAS; where
+    coeff is 0 on columns 0..i1 (no queue yet), the last sum is exactly 0
+    and the passes take Gc alone (a NaN coeff is not 0).
     """
     law = params.service
     queued = bool(np.any(coeff[: i1 + 1] != 0.0))
@@ -249,17 +251,21 @@ def _history(params, drain: np.ndarray, coeff: np.ndarray, i0: int, i1: int, dt:
     q = np.arange(now.size)
     last = np.where(q[None, :] < q[:, None], dt, 0.0)
     np.fill_diagonal(last, 0.5 * dt)
-    d = now[:, None] - drain[None, : i1 + 1]
-    np.maximum(d, 0.0, out=d)
-    h2, g = law.tail_and_pdf(d) if queued else (law.tail(d), None)
-    del d
-    h2 *= params.arrival_rate
-    _weigh(h2, i0, last, dt)
-    rhs = _h1(params, now) + h2.sum(axis=1)
-    if not queued:
-        return rhs
-    _weigh(g, i0, last, dt)
-    return rhs + g @ coeff[: i1 + 1]
+    rhs = _h1(params, now)
+    for c in range(0, now.size, CHUNK_ROWS):
+        rows = slice(c, c + CHUNK_ROWS)
+        d = now[rows, None] - drain[None, : i1 + 1]
+        np.maximum(d, 0.0, out=d)
+        h2, g = law.tail_and_pdf(d) if queued else (law.tail(d), None)
+        del d
+        h2 *= params.arrival_rate
+        _weigh(h2, i0, last[rows], dt)
+        rhs[rows] += h2.sum(axis=1)
+        if queued:
+            _weigh(g, i0, last[rows], dt)
+            g *= coeff[: i1 + 1]
+            rhs[rows] += g.sum(axis=1)
+    return rhs
 
 
 def solve_count_path(params: FluidParams, march: str | None = None):
@@ -317,9 +323,10 @@ def _drain_march(params: FluidParams, diag: SolveDiagnostics) -> np.ndarray:
     The kernels are fixed, so the lagged part of node m is two dot
     products against reversed tables of Gc and g (the second skipped, as
     0, until a node has a queue), and the lag-0 part leaves a scalar
-    equation.  t grows by at least du/k_sup per node, so at most
-    k_sup/k_min nodes per time step are needed.  Returns X on the time
-    grid, linearly interpolated in t."""
+    equation, iterated on Python floats (a non-finite iterate is redone on
+    numpy scalars, so the caller's errstate sees it).  t grows by at least
+    du/k_sup per node, so at most k_sup/k_min nodes per time step are
+    needed.  Returns X on the time grid, linearly interpolated in t."""
     rate = params.rate
     lam = params.arrival_rate
     du = diag.du
@@ -329,18 +336,24 @@ def _drain_march(params: FluidParams, diag: SolveDiagnostics) -> np.ndarray:
     gc_u, g_u = params.service.tail_and_pdf(u)
     gc_rev = np.ascontiguousarray(gc_u[::-1])  # gc_rev[nodes - p] = Gc(p du)
     g_rev = np.ascontiguousarray(g_u[::-1])
-    lag0_arrivals = 0.5 * du * lam * gc_rev[nodes]
-    lag0_drain = 0.5 * du * g_rev[nodes]
-    x = np.empty(nodes + 1)
-    t = np.empty(nodes + 1)
+    lag0_arrivals = float(0.5 * du * lam * gc_rev[nodes])
+    lag0_drain = float(0.5 * du * g_rev[nodes])
+    x = [float(params.initial_count)]
+    t = [0.0]
     arrivals = np.empty(nodes + 1)  # trapezoid weight * lam/k(X) per node
     excess = np.empty(nodes + 1)    # trapezoid weight * (X - 1)^+ per node
-    x[0] = params.initial_count
-    t[0] = 0.0
     inv_k = 1.0 / rate(x[0])
     arrivals[0] = 0.5 * lam * inv_k
     excess[0] = 0.5 * max(x[0] - 1.0, 0.0)
     queued = False  # some node so far has excess != 0
+
+    def update(v):
+        new = lagged + lag0_arrivals / rate(v) + lag0_drain * max(v - 1.0, 0.0)
+        if math.isfinite(new):
+            return new
+        f = np.float64
+        return f(lagged) + f(lag0_arrivals) / rate(v) + f(lag0_drain) * max(f(v) - 1.0, 0.0)
+
     m = 0
     while t[m] < params.horizon:
         m += 1
@@ -348,21 +361,18 @@ def _drain_march(params: FluidParams, diag: SolveDiagnostics) -> np.ndarray:
             raise FluidSolverError(f"drain march passed its {nodes} nodes before the horizon")
         lag = slice(nodes - m, nodes)
         queued = queued or excess[m - 1] != 0.0
-        lagged = h1_u[m] + du * (
+        lagged = float(h1_u[m] + du * (
             np.dot(arrivals[:m], gc_rev[lag]) + (np.dot(excess[:m], g_rev[lag]) if queued else 0.0)
-        )
-        x[m], it = _fixed_point(
-            lambda v: lagged + lag0_arrivals / rate(v) + lag0_drain * max(v - 1.0, 0.0),
-            x[m - 1],
-            lambda: f"at drain {m * du:.6g}",
-        )
-        inv_next = 1.0 / rate(x[m])
-        t[m] = t[m - 1] + 0.5 * du * (inv_k + inv_next)
+        ))
+        xm, it = _fixed_point(update, x[m - 1], lambda: f"at drain {m * du:.6g}")
+        inv_next = 1.0 / rate(xm)
+        x.append(xm)
+        t.append(t[m - 1] + 0.5 * du * (inv_k + inv_next))
         inv_k = inv_next
         arrivals[m] = lam * inv_k
-        excess[m] = max(x[m] - 1.0, 0.0)
+        excess[m] = max(xm - 1.0, 0.0)
         diag.windows.append(it)
-    return np.interp(params.times, t[: m + 1], x[: m + 1])
+    return np.interp(params.times, t, x)
 
 
 def _time_march(params: FluidParams, x: np.ndarray, diag: SolveDiagnostics):
@@ -446,9 +456,8 @@ def fixed_point_defect(params: FluidParams, count: np.ndarray) -> float:
     ``run_jobs`` job with key (i0,) that returns its max |X - rhs| from
     one ``_history`` call (g only once a queue has formed by the block's
     last row).  The floats do not depend on the CPU count; each process
-    holds at most one block's pair matrices, so the peak across processes
-    is up to one block per worker.  A NaN in any row makes the defect NaN,
-    which no tolerance accepts."""
+    holds one CHUNK_ROWS x N chunk of a block's pair arrays at a time.  A
+    NaN in any row makes the defect NaN, which no tolerance accepts."""
     count = np.asarray(count, dtype=float)
     n = count.size - 1
     if n != params.steps:

@@ -23,6 +23,7 @@ from . import fluid as fluid_mod
 from .fluid import run_jobs
 from .laws import DensityRequiredError, ServiceLaw
 from .measures import AtomicMeasure, prohorov
+from .scenario import _MAX_CUSTOMERS
 from .simulate import Simulator, init, sample_initial
 
 
@@ -200,7 +201,8 @@ def glivenko_cantelli_check(
     empirical measure of each window {i : m < i <= m + floor(n*ell)} for m
     on a coarse lattice and ell in [0, block_span], and returns the largest
     |<f, empirical> - ell*<f, law>| over half-line indicators f anchored on
-    ``x_grid`` (both open and closed variants).
+    ``x_grid`` (both open and closed variants).  A block of more than
+    ``scenario._MAX_CUSTOMERS`` draws is refused before any is drawn.
     """
     if n * block_span < 1:
         raise ValueError("need n * block_span >= 1")
@@ -209,6 +211,9 @@ def glivenko_cantelli_check(
     m_half = int(round(n * window_mass))
     max_len = int(math.floor(n * block_span))
     total = 2 * m_half + max_len
+    if total > _MAX_CUSTOMERS:
+        raise ValueError(f"gc-check at n {n} draws {total} service requirements, "
+                         f"more than {_MAX_CUSTOMERS}")
     draws = law.sample(rng, total)  # index i in (-m_half, m_half + max_len]
     m_lattice = np.unique(np.linspace(-m_half + 1, m_half - 1, m_points).astype(int))
     ell_lattice = np.linspace(0.0, block_span, ell_points)

@@ -248,13 +248,24 @@ class TestSolveCount:
         assert d_flat.windows == d_const.windows
 
     def test_overflowing_iterate_is_not_converged(self):
-        # one step of length 1 where g(0)*dt/2 = 5e5: the Picard iterate
-        # overflows to inf, which must not count as a converged window; the
-        # error names the node
+        # one step of length 1 where g(0)*dt/2 = 5e5 (overflow.scn of the CLI
+        # test): the Picard iterate overflows to inf, which must not count as
+        # a converged window; the error names the node.  The march iterates
+        # on Python floats but redoes a non-finite iterate on numpy scalars,
+        # so an errstate that raises sees the overflow by name, and the
+        # default one warns of it
         p = params_for(3.0, horizon=1.0, dt=1.0, service=make_exponential(1e6))
+        no_convergence = r"^no convergence at drain 1 in 80 .*\(last change nan\)$"
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(fm.FluidSolverError, match="^no convergence at drain 1 in 80 "):
+            with pytest.raises(fm.FluidSolverError, match=no_convergence):
                 fm.solve_count_path(p)
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="^overflow encountered in scalar multiply$"):
+                fm.solve_count_path(p)
+        with pytest.warns(RuntimeWarning) as caught:
+            with pytest.raises(fm.FluidSolverError, match=no_convergence):
+                fm.solve_count_path(p)
+        assert str(caught[0].message) == "overflow encountered in scalar multiply"
 
 
 class TestDrainAndStarts:
@@ -508,11 +519,69 @@ class TestDefect:
         for cpus in (1, 2, 5):
             monkeypatch.setattr(fm, "_cpus", lambda: cpus)
             assert fm.fixed_point_defect(p, x) == defect
-        # one call over all rows sums in another order (the matrix-vector
-        # product follows the matrix's shape), so rows agree to rounding
+        # one call over all rows spans more columns (zero weights past each
+        # row's diagonal), so its pairwise row sums group terms differently
+        # and rows agree to rounding
         whole = fm._history(p, drain, coeff, 0, n, dt)
         assert np.max(np.abs(whole - rows)) <= 1e-14
         assert abs(max(head, float(np.max(np.abs(x[1:] - whole)))) - defect) <= 1e-14
+
+    @pytest.mark.parametrize("case", ["tail_only", "queue_mid_block", "nan_coefficient"])
+    def test_rows_do_not_depend_on_the_chunk_size(self, case, scenario_dir, monkeypatch):
+        # each row is its own row-wise sum over the block's columns, so
+        # sweeping a block 1, 3, 16 or all of its rows at a time gives the
+        # same floats, queued or not
+        from fluidq.scenario import load_scenario
+
+        if case == "tail_only":
+            sc = load_scenario(scenario_dir / "state_dependent.scn")
+            p = dataclasses.replace(sc, dt=1e-2).fluid_params()
+            x = fm.solve_count_path(p)[0] + 1e-4 * np.sin(7.0 * p.times)
+        else:
+            p, x = queue_mid_block_path()
+        n, dt = p.steps, p.dt_effective
+        drain = fm.cumulative_drain(x, p.rate, dt)
+        coeff = fm._drain_coeff(p, x)
+        if case == "nan_coefficient":
+            coeff[300] = math.nan  # in the second block, before the queue forms
+        else:
+            assert np.any(coeff != 0.0) == (case == "queue_mid_block")
+        blocks = [(i0, min(i0 + fm.DEFECT_BLOCK_ROWS, n)) for i0 in range(0, n, fm.DEFECT_BLOCK_ROWS)]
+        sweeps = []
+        for chunk in (1, 3, 16, fm.DEFECT_BLOCK_ROWS):
+            monkeypatch.setattr(fm, "CHUNK_ROWS", chunk)
+            sweeps.append(np.concatenate([fm._history(p, drain, coeff, i0, i1, dt) for i0, i1 in blocks]))
+        for rows in sweeps[1:]:
+            assert np.array_equal(rows, sweeps[0], equal_nan=True)
+        if case == "nan_coefficient":
+            # the first block's columns end before the NaN; later rows are NaN
+            assert np.all(np.isfinite(sweeps[0][: fm.DEFECT_BLOCK_ROWS]))
+            assert np.all(np.isnan(sweeps[0][fm.DEFECT_BLOCK_ROWS :]))
+
+    def test_law_passes_hold_at_most_a_chunk_of_rows(self, scenario_dir, monkeypatch):
+        # a worker's pair arrays are CHUNK_ROWS x N, not a block's rows x N;
+        # one CPU keeps the defect's calls in this process, where they are seen
+        from fluidq.scenario import load_scenario
+
+        monkeypatch.setattr(fm, "_cpus", lambda: 1)
+        for name in ("state_dependent", "queue_start"):
+            p = dataclasses.replace(load_scenario(scenario_dir / f"{name}.scn"), dt=1e-2).fluid_params()
+            x, _ = fm.solve_count_path(p)
+            assert p.steps > fm.DEFECT_BLOCK_ROWS
+            law, shapes = p.service, []
+
+            def recorded(fn):
+                def law_pass(v):
+                    shapes.append(np.shape(v))
+                    return fn(v)
+                return law_pass
+
+            p = dataclasses.replace(p, service=dataclasses.replace(
+                law, tail=recorded(law.tail), _tail_and_pdf=recorded(law.tail_and_pdf)))
+            fm.fixed_point_defect(p, x)
+            pairs = [shape for shape in shapes if len(shape) == 2]
+            assert max(rows for rows, _ in pairs) == fm.CHUNK_ROWS
+            assert max(cols for _, cols in pairs) == p.steps + 1
 
     def test_density_evaluated_only_once_a_queue_forms(self, scenario_dir, monkeypatch):
         # the density term carries (X - 1)^+ k(X), so a path that never

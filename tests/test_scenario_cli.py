@@ -421,6 +421,22 @@ class TestCli:
             "n*(lambda*horizon + X0), more than 5000000")
         assert not out.exists()
 
+    def test_gc_check_draws_held_to_the_customer_cap(self, tmp_path, scenario_dir, capsys):
+        # gc-check draws 2*round(2n) + floor(2n) = 6n requirements whatever
+        # lambda is, so on zero_arrivals the per-run cap admits any n; the
+        # draw count is refused before anything is drawn
+        scn = str(scenario_dir / "zero_arrivals.scn")
+        out = tmp_path / "out"
+        assert run_cli(["gc-check", "--scenario", scn, "--out", str(out),
+                        "--n", "1000000000000", "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "error: gc-check at n 1000000000000 draws 6000000000000 service requirements, "
+            "more than 5000000\n")
+        assert not out.exists()
+        assert run_cli(["gc-check", "--scenario", scn, "--out", str(out), "--n", "100000",
+                        "--quiet"]) == 0
+        assert (out / "gc.tsv").exists()
+
     def test_customer_cap_is_inclusive(self):
         # lambda*T = 2.5 per server: 2 000 000 servers meet the cap exactly
         assert parse_scenario(MINIMAL + "n_list = 2000000\n").n_list == (2000000,)
