@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .fluid import FluidAccuracyError, FluidSolution, FluidSolverError, run_jobs, solve
-from .harness import ConvergenceReport, convergence_experiment, glivenko_cantelli_check, run_scenario_once
+from .harness import (ConvergenceReport, convergence_experiment, gc_block, glivenko_cantelli_check,
+                      run_scenario_once)
 from .measures import AtomicMeasure
 from .scenario import KEYS, check_n_list, load_scenario, scenario_hash
 from .simulate import Trajectory
@@ -69,44 +70,42 @@ def _base_header(scenario, command: str, seed: int):
     ]
 
 
-def _table(header_lines, columns, rows, sep="\t") -> str:
+def _table(header_lines, names, columns, sep="\t") -> str:
     """The artifact layout: one ``# `` line per header line, the column
     names joined by ``sep`` (no line when there are none), then one line
-    per row of ``repr`` cells joined by ``sep``.  Cells must be Python
-    floats and ints, whose ``repr`` round-trips; numpy scalars print
-    differently."""
-    lines = [f"# {line}" for line in header_lines]
-    if columns:
-        lines.append(sep.join(columns))
-    lines.extend(sep.join(map(repr, row)) for row in rows)
-    return "".join(f"{line}\n" for line in lines)
+    per row: each column's ``repr`` cell, joined by ``sep``, up to the
+    shortest column.  Columns are lists of Python floats and ints, whose
+    ``repr`` round-trips (numpy scalars print differently)."""
+    head = "".join(f"# {line}\n" for line in header_lines)
+    head += sep.join(names) + "\n" if names else ""
+    body = "\n".join(map(sep.join, zip(*[map(repr, col) for col in columns])))
+    return head + body + "\n" if body else head
 
 
 def solution_to_text(sol: FluidSolution, header_lines=()) -> str:
     """Grid paths of a fluid solution: t, X, Q, B, S columns."""
     paths = (sol.times, sol.count, sol.queue, sol.started, sol.drained)
-    return _table(header_lines, ("t", "X", "Q", "B", "S"), zip(*(p.tolist() for p in paths)))
+    return _table(header_lines, ("t", "X", "Q", "B", "S"), [p.tolist() for p in paths])
 
 
 def surface_to_text(sol: FluidSolution, header_lines=()) -> str:
     """Tail-surface matrix: one row per surface time, columns per x."""
     xs = sol.x_grid.tolist()
     header = [*header_lines, "x_grid: " + ",".join(map(repr, xs))]
-    columns = ["t"] + [f"z@{x!r}" for x in xs]
-    rows = ([t, *z] for t, z in zip(sol.surface_times.tolist(), sol.tail_surface.tolist()))
-    return _table(header, columns, rows)
+    names = ["t"] + [f"z@{x!r}" for x in xs]
+    return _table(header, names, [sol.surface_times.tolist(), *sol.tail_surface.T.tolist()])
 
 
 def trajectory_to_text(traj: Trajectory, header_lines=()) -> str:
     """Simulated paths: time, X, Q, Z, B, S columns; counts are ints."""
     counts = (traj.count, traj.queue, traj.in_service, traj.started)
     paths = [traj.times.tolist(), *(c.tolist() for c in counts), traj.drained.tolist()]
-    return _table(header_lines, ("time", "X", "Q", "Z", "B", "S"), zip(*paths))
+    return _table(header_lines, ("time", "X", "Q", "Z", "B", "S"), paths)
 
 
 def atomic_to_text(measure: AtomicMeasure) -> str:
     """One ``location,weight`` line per atom."""
-    return _table((), (), zip(measure.locations.tolist(), measure.weights.tolist()), sep=",")
+    return _table((), (), (measure.locations.tolist(), measure.weights.tolist()), sep=",")
 
 
 def snapshots_to_text(traj: Trajectory, header_lines=()) -> str:
@@ -121,11 +120,11 @@ def snapshots_to_text(traj: Trajectory, header_lines=()) -> str:
 def report_to_text(report: ConvergenceReport, header_lines=()) -> str:
     """One row per (n, seed): sup-norm gaps of X, Q and B, then the Prohorov
     distance at each snapshot time."""
-    columns = ["n", "seed", "sup_X_gap", "sup_Q_gap", "sup_B_gap"]
-    columns += [f"rho@{t!r}" for t in report.snapshot_times]
+    names = ["n", "seed", "sup_X_gap", "sup_Q_gap", "sup_B_gap"]
+    names += [f"rho@{t!r}" for t in report.snapshot_times]
     rows = ([r.n, r.seed, r.count_gap, r.queue_gap, r.starts_gap, *(d for _, d in r.measure_gaps)]
             for r in report.rows)
-    return _table(header_lines, columns, rows)
+    return _table(header_lines, names, zip(*rows))
 
 
 def summary_to_text(report: ConvergenceReport, header_lines=()) -> str:
@@ -200,19 +199,19 @@ def _cmd_compare(scenario, n_list, seeds, say):
 
 
 def _cmd_gc_check(scenario, n_list, seed, say):
+    for n in n_list:  # every n's block is sized before the first draw
+        gc_block(n, GC_WINDOW_MASS, GC_BLOCK_SPAN)
     law = scenario.build_service()
-    rows = []
+    devs = []
     for n in n_list:
-        dev = glivenko_cantelli_check(
-            law, n, GC_WINDOW_MASS, GC_BLOCK_SPAN, scenario.x_grid(), seed=seed
-        )
-        rows.append((n, dev))
-        say(f"gc-check n={n}: max deviation {dev:.5f}")
+        devs.append(glivenko_cantelli_check(law, n, GC_WINDOW_MASS, GC_BLOCK_SPAN,
+                                            scenario.x_grid(), seed=seed))
+        say(f"gc-check n={n}: max deviation {devs[-1]:.5f}")
     header = _base_header(scenario, "gc-check", seed) + [
         f"window_mass: {GC_WINDOW_MASS!r}",
         f"block_span: {GC_BLOCK_SPAN!r}",
     ]
-    return {"gc.tsv": _table(header, ("n", "max_deviation"), rows)}
+    return {"gc.tsv": _table(header, ("n", "max_deviation"), (list(n_list), devs))}
 
 
 def _override(flag, parse, text):

@@ -184,6 +184,18 @@ def convergence_experiment(
     return report
 
 
+def gc_block(n: int, window_mass: float, block_span: float):
+    """``(m_half, max_len)`` of the gc-check block at n; refused when its
+    ``2*m_half + max_len`` draws pass ``scenario._MAX_CUSTOMERS``."""
+    if n * block_span < 1:
+        raise ValueError("need n * block_span >= 1")
+    m_half, max_len = int(round(n * window_mass)), int(math.floor(n * block_span))
+    if 2 * m_half + max_len > _MAX_CUSTOMERS:
+        raise ValueError(f"gc-check at n {n} draws {2 * m_half + max_len} service requirements, "
+                         f"more than {_MAX_CUSTOMERS}")
+    return m_half, max_len
+
+
 def glivenko_cantelli_check(
     law: ServiceLaw,
     n: int,
@@ -201,20 +213,13 @@ def glivenko_cantelli_check(
     empirical measure of each window {i : m < i <= m + floor(n*ell)} for m
     on a coarse lattice and ell in [0, block_span], and returns the largest
     |<f, empirical> - ell*<f, law>| over half-line indicators f anchored on
-    ``x_grid`` (both open and closed variants).  A block of more than
-    ``scenario._MAX_CUSTOMERS`` draws is refused before any is drawn.
+    ``x_grid`` (both open and closed variants).  ``gc_block`` sizes the
+    block and refuses an oversized one before any draw.
     """
-    if n * block_span < 1:
-        raise ValueError("need n * block_span >= 1")
+    m_half, max_len = gc_block(n, window_mass, block_span)
     x_grid = np.asarray(x_grid, dtype=float)
     rng = np.random.default_rng(seed)
-    m_half = int(round(n * window_mass))
-    max_len = int(math.floor(n * block_span))
-    total = 2 * m_half + max_len
-    if total > _MAX_CUSTOMERS:
-        raise ValueError(f"gc-check at n {n} draws {total} service requirements, "
-                         f"more than {_MAX_CUSTOMERS}")
-    draws = law.sample(rng, total)  # index i in (-m_half, m_half + max_len]
+    draws = law.sample(rng, 2 * m_half + max_len)  # index i in (-m_half, m_half + max_len]
     m_lattice = np.unique(np.linspace(-m_half + 1, m_half - 1, m_points).astype(int))
     ell_lattice = np.linspace(0.0, block_span, ell_points)
     target_geq = np.asarray(law.tail_geq(x_grid), dtype=float)

@@ -50,12 +50,9 @@ def _as_sorted_atoms(locations, weights):
     loc, wgt = loc[keep], wgt[keep]
     order = np.argsort(loc, kind="stable")
     loc, wgt = loc[order], wgt[order]
-    if loc.size:
-        uniq, inverse = np.unique(loc, return_inverse=True)
-        if uniq.size != loc.size:
-            merged = np.zeros_like(uniq)
-            np.add.at(merged, inverse, wgt)
-            loc, wgt = uniq, merged
+    if np.any(loc[1:] == loc[:-1]):  # merge ties, in index order; np.unique only then
+        loc, inverse = np.unique(loc, return_inverse=True)
+        wgt = np.bincount(inverse, weights=wgt)
     loc.flags.writeable = False
     wgt.flags.writeable = False
     return loc, wgt

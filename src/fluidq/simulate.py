@@ -15,11 +15,13 @@ by runs that record.
 
 X moves by +-1, so each simulator tabulates k(X/n) per integer count on
 first use and never evaluates the rate function twice at one count.
+Arrival times and requirements are drawn 1024 at a time and handed out
+by ``itertools.chain``, so no Python frame resumes per customer.
 ``Simulator.run`` is one loop over locals: each event costs a
 departure-time division, one comparison against the next arrival and one
-against the next grid-or-snapshot time, the event itself, and the state
-invariants tested as integer comparisons.  The event log and the
-per-customer records are kept only on request.
+against the next grid-or-snapshot time, the event itself (one heap pop
+per departure), and the state invariants tested as integer comparisons.
+The event log and the per-customer records are kept only on request.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import chain, repeat
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -224,29 +227,35 @@ def _upto(times: list, horizon: float) -> list:
     return times[:k] + [math.inf]
 
 
+def _arrival_chunks(arrivals, n, rng):
+    """A law's arrival times in lists of 1024.  ``np.cumsum`` adds left to
+    right, so each time is the float of ``last = last + g / n``."""
+    times = np.zeros(1)  # the clock starts at zero
+    while True:
+        gaps = arrivals.sample_gaps(rng, 1024) / n
+        with np.errstate(over="ignore"):  # to inf, as a Python float sum does
+            times = np.cumsum(np.concatenate((times[-1:], gaps)))[1:]
+        yield times.tolist()
+
+
 def _arrival_times(arrivals, n, rng):
     """Arrival times, then inf forever: renewal gaps from a law scaled by
     1/n on a clock that starts at zero, or an explicit list of floats."""
-    if isinstance(arrivals, ArrivalLaw):
-        last = 0.0
-        while arrivals.rate != 0.0:  # a zero rate never arrives
-            for g in arrivals.sample_gaps(rng, 1024).tolist():
-                last = last + g / n
-                yield last
-    elif arrivals is not None:
-        yield from arrivals
-    while True:
-        yield math.inf
+    if isinstance(arrivals, ArrivalLaw) and arrivals.rate != 0.0:  # a zero rate never arrives
+        return chain.from_iterable(_arrival_chunks(arrivals, n, rng))
+    return chain(arrivals if isinstance(arrivals, list) else (), repeat(math.inf))
+
+
+def _exhausted():
+    raise ValueError("explicit requirement list exhausted")
 
 
 def _requirements(service, rng):
-    """Service requirements in arrival-index order, from a law or an
-    explicit list of floats."""
+    """Service requirements in arrival-index order, from a law in chunks of
+    1024 or from an explicit list of floats, past whose end a draw raises."""
     if isinstance(service, ServiceLaw):
-        while True:
-            yield from service.sample(rng, 1024).tolist()
-    yield from service
-    raise ValueError("explicit requirement list exhausted")
+        return chain.from_iterable(iter(lambda: service.sample(rng, 1024).tolist(), None))
+    return chain(service, iter(_exhausted, None))
 
 
 class Simulator:
@@ -364,9 +373,9 @@ class Simulator:
                     break
                 if dep <= arr:
                     clock = dep
-                    drained = heap[0]  # exact: kills accumulation drift
-                    gone = []
-                    while heap and heap[0] <= drained + RESIDUAL_TOL:
+                    drained = heappop(heap)  # exact: kills accumulation drift
+                    gone = [drained]
+                    while heap and heap[0] <= drained + RESIDUAL_TOL:  # ties
                         gone.append(heappop(heap))
                     departures += len(gone)
                     count -= len(gone)

@@ -60,6 +60,28 @@ class TestAtomicMeasure:
         assert list(a.locations) == [1.0, 2.0]
         assert list(a.weights) == [3.0, 1.5]
 
+    @pytest.mark.parametrize("locations, weights, merged_loc, merged_wgt", [
+        ([2.0, 1.0, 3.0], [1.0, 3.0, 0.5], [1.0, 2.0, 3.0], [3.0, 1.0, 0.5]),    # no tie
+        ([2.0, 1.0, 2.0], [1.0, 3.0, 0.5], [1.0, 2.0], [3.0, 1.5]),              # one tie
+        ([0.0, -0.0, 0.1, 0.0], [0.1, 0.2, 0.7, 0.3], [0.0, 0.1], [0.1 + 0.2 + 0.3, 0.7]),
+        ([0.5] * 4, [0.1, 0.2, 0.3, 0.4], [0.5], [((0.1 + 0.2) + 0.3) + 0.4]),  # summed in order
+        ([1.0], [2.0], [1.0], [2.0]),
+        ([], [], [], []),
+    ])
+    def test_ties_merged_in_index_order(self, locations, weights, merged_loc, merged_wgt):
+        a = AtomicMeasure(np.array(locations), np.array(weights))
+        assert a.locations.tolist() == merged_loc and a.weights.tolist() == merged_wgt
+        for arr in (a.locations, a.weights):
+            assert arr.dtype == np.float64 and arr.ndim == 1
+            assert not arr.flags.writeable and arr.flags.owndata
+
+    def test_input_arrays_not_aliased(self):
+        loc, wgt = np.array([1.0, 2.0]), np.array([0.5, 0.5])
+        a = AtomicMeasure(loc, wgt)
+        loc[0] = wgt[0] = 9.0
+        assert a.locations.tolist() == [1.0, 2.0] and a.weights.tolist() == [0.5, 0.5]
+        assert loc.flags.writeable
+
     def test_zero_weights_dropped(self):
         a = AtomicMeasure([1.0, 2.0], [0.0, 1.0])
         assert len(a) == 1

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from fluidq import cli, harness
 from fluidq import fluid as fluid_mod
 from fluidq import scenario as scenario_mod
+from fluidq.laws import ServiceLaw
 from fluidq.scenario import (
     KEYS,
     Scenario,
@@ -299,6 +300,49 @@ def tiny_scenario(tmp_path):
     return path
 
 
+def table_oracle(header_lines, names, rows, sep="\t"):
+    """The artifact layout written one row at a time."""
+    lines = [f"# {line}" for line in header_lines]
+    if names:
+        lines.append(sep.join(names))
+    lines.extend(sep.join(map(repr, row)) for row in rows)
+    return "".join(f"{line}\n" for line in lines)
+
+
+class TestTable:
+    """``cli._table`` takes columns; its text must be the per-row oracle's."""
+
+    SPECIAL = [0, -7, 2**70, 0.0, -0.0, 5e-324, 1e16, 1.0 / 3.0, float("nan"), float("inf"),
+               float("-inf")]
+
+    @pytest.mark.parametrize("sep", ["\t", ","])
+    def test_special_cells(self, sep):
+        columns = [self.SPECIAL, self.SPECIAL[::-1], [float(i) for i in range(len(self.SPECIAL))]]
+        text = cli._table(["h: 1", "x_grid: 0.0,1.0"], ("a", "b", "c"), columns, sep=sep)
+        assert text == table_oracle(["h: 1", "x_grid: 0.0,1.0"], ("a", "b", "c"),
+                                    zip(*columns), sep=sep)
+        assert "-0.0" in text and "5e-324" in text and "nan" in text
+
+    @pytest.mark.parametrize("header, names, columns", [
+        (["h"], ("t", "X"), [[], []]),                # zero rows
+        (["h"], ("t",), [[0.5, 1e16, -0.0]]),         # one column
+        ([], (), [[1.5], [2]]),                        # no header, no names
+        (["h", "g"], (), []),                          # header only
+        ([], (), []),                                  # nothing at all
+        (["h"], ("a", "b"), [[1.0, 2.0, 3.0], [4]]),   # rows stop at the shortest column
+    ])
+    def test_shapes(self, header, names, columns):
+        assert cli._table(header, names, columns) == table_oracle(header, names, zip(*columns))
+
+    @given(st.lists(st.tuples(st.floats(allow_nan=True), st.integers()), max_size=20),
+           st.sampled_from(["\t", ","]))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_the_row_oracle(self, rows, sep):
+        columns = [list(col) for col in zip(*rows)] or [[], []]
+        assert cli._table(["h"], ("x", "k"), columns, sep=sep) == \
+            table_oracle(["h"], ("x", "k"), rows, sep=sep)
+
+
 class TestCli:
     def test_solve_zero_scenario_all_zeros(self, tmp_path, scenario_dir):
         out = tmp_path / "out"
@@ -436,6 +480,22 @@ class TestCli:
         assert run_cli(["gc-check", "--scenario", scn, "--out", str(out), "--n", "100000",
                         "--quiet"]) == 0
         assert (out / "gc.tsv").exists()
+
+    def test_gc_check_sizes_every_block_before_the_first_draw(self, tmp_path, scenario_dir,
+                                                              capsys, monkeypatch):
+        # n = 800000 alone passes the cap; 1000000 draws 6000000 > 5000000,
+        # so nothing is drawn for either
+        def sample(self, rng, size):
+            raise AssertionError("a service requirement was drawn")
+
+        monkeypatch.setattr(ServiceLaw, "sample", sample)
+        out = tmp_path / "out"
+        assert run_cli(["gc-check", "--scenario", str(scenario_dir / "zero_arrivals.scn"),
+                        "--out", str(out), "--n", "800000,1000000", "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "error: gc-check at n 1000000 draws 6000000 service requirements, "
+            "more than 5000000\n")
+        assert not out.exists()
 
     def test_customer_cap_is_inclusive(self):
         # lambda*T = 2.5 per server: 2 000 000 servers meet the cap exactly

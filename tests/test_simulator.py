@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -23,9 +25,12 @@ from fluidq.simulate import (
     START,
     CustomerRecord,
     Simulator,
+    _arrival_times,
+    _requirements,
     init,
     sample_initial,
 )
+from fluidq import cli
 from fluidq.cli import trajectory_to_text
 
 from conftest import SCENARIO_DIR
@@ -643,3 +648,65 @@ class TestInfiniteServerLaw:
         t, x = np.meshgrid(times, xs, indexing="ij")
         self._assert_poisson(counts, scenario.lam * np.column_stack(
             [times, np.maximum(0.0, np.minimum(t, 1.0 - x))]))
+
+
+class TestStreams:
+    """The arrival and requirement streams: chunks of 1024 draws handed out
+    by ``itertools.chain``, each value the float the one-at-a-time stream
+    gave."""
+
+    @pytest.mark.parametrize("n", [1, 7, 10**4])
+    @pytest.mark.parametrize("kind", ["exponential", "uniform"])
+    def test_chunked_times_are_the_running_sum(self, n, kind):
+        law = make_arrivals(kind, 0.8)
+        times = list(islice(_arrival_times(law, n, np.random.default_rng(5)), 2500))
+        rng, last, expected = np.random.default_rng(5), 0.0, []
+        while len(expected) < 2500:  # 2500 times cross two chunk boundaries
+            for g in law.sample_gaps(rng, 1024).tolist():
+                last = last + g / n
+                expected.append(last)
+        assert times == expected[:2500]
+        assert all(type(t) is float for t in times)
+
+    def test_zero_rate_never_arrives(self):
+        stream = _arrival_times(make_arrivals("exponential", 0.0), 3, np.random.default_rng(0))
+        assert list(islice(stream, 3000)) == [math.inf] * 3000
+
+    @pytest.mark.parametrize("arrivals, head", [([0.5, 0.5, 2.0], [0.5, 0.5, 2.0]),
+                                                ([], []), (None, [])])
+    def test_explicit_times_then_inf(self, arrivals, head):
+        stream = _arrival_times(arrivals, 4, None)
+        assert list(islice(stream, len(head) + 3)) == head + [math.inf] * 3
+
+    def test_explicit_requirements_exhausted(self):
+        stream = _requirements([1.0, 2.0], None)
+        assert [next(stream), next(stream)] == [1.0, 2.0]
+        with pytest.raises(ValueError, match="^explicit requirement list exhausted$"):
+            next(stream)
+        sim = Simulator(1, [0.5], constant_rate(1.0), arrivals=[0.1, 0.2])
+        with pytest.raises(ValueError, match="^explicit requirement list exhausted$"):
+            sim.run(1.0)
+
+    def test_law_requirements_cross_chunks(self):
+        law = make_exponential(2.0)
+        reqs = list(islice(_requirements(law, np.random.default_rng(9)), 2100))
+        rng = np.random.default_rng(9)
+        assert reqs == [v for _ in range(3) for v in law.sample(rng, 1024).tolist()][:2100]
+
+    def test_overflowing_clock_is_inf_under_the_cli_errstate(self, tmp_path):
+        # gaps of mean 1e307 overflow the running sum within the first
+        # chunk: the sum goes to inf silently, as a Python float sum does,
+        # though cli.main raises on numpy overflow, and no customer arrives
+        scn = tmp_path / "tiny307.scn"
+        scn.write_text("name = tiny307\nlambda = 1e-307\nservice = exponential rate=1.0\n"
+                       "rate = constant value=1.0\nhorizon = 5.0\nn_list = 1\n"
+                       "replications = 1\n")
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--scenario", str(scn), "--out", str(out), "--quiet"]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert digests == {  # the bytes of the one-at-a-time Python sum
+            "snapshots_n1_seed12345.txt":
+                "43a4c425d847761646afad7e4a5dbcce5f2add94e7ed7d65bafe6ff5ac4dc4c3",
+            "trajectory_n1_seed12345.tsv":
+                "65acaee8a60b9a01908532191efd5b75d562247e0ac02f40643a6c15a643b402",
+        }
