@@ -17,11 +17,11 @@ X moves by +-1, so each simulator tabulates k(X/n) per integer count on
 first use and never evaluates the rate function twice at one count.
 Arrival times and requirements are drawn 1024 at a time and handed out
 by ``itertools.chain``, so no Python frame resumes per customer.
-``Simulator.run`` is one loop over locals: each event costs a
-departure-time division, one comparison against the next arrival and one
-against the next grid-or-snapshot time, the event itself (one heap pop
-per departure), and the state invariants tested as integer comparisons.
-The event log and the per-customer records are kept only on request.
+``Simulator.run`` is one loop over locals: each event costs one rate
+lookup, a departure-time division, one comparison against the next
+arrival and one against the next grid-or-snapshot time, the event itself
+(one heap pop per departure), and the state invariants tested as integer
+comparisons.  The event log and the customer records are kept on request.
 """
 
 from __future__ import annotations
@@ -198,10 +198,12 @@ class Trajectory:
 
     Columns: count (in system), queue, in_service, started (index of the
     last customer to enter service) and drained (cumulative per-server
-    work).  Counts are unscaled integers.  ``event_count`` is the number
-    of log entries (arrivals, service starts, departures) the run made,
-    recorded or not; without recording ``events`` and ``records`` are
-    empty.
+    work).  Counts are unscaled integers; queue and in_service are
+    (count - n)^+ and min(count, n).  The paths are right-continuous: a
+    point at an event's time sees the state after it.  ``event_count`` is
+    the number of log entries (arrivals, service starts, departures) the
+    run made, recorded or not; without recording ``events`` and
+    ``records`` are empty.
     """
 
     n: int
@@ -301,8 +303,9 @@ class Simulator:
 
         Counters are sampled at the ``grid`` points (101 points on
         [0, horizon] by default) and the residual-work measure at
-        ``snapshot_times``; a point at time t sees the state before any
-        event at t.  The points from the first one past the horizon on are
+        ``snapshot_times``; a point at time t sees the state after every
+        event at t.  A snapshot residual within ``RESIDUAL_TOL`` below 0
+        reads 0.  The points from the first one past the horizon on are
         dropped.  The event log, the customer records and the state's
         ``serving`` map are kept only with ``record``.  A state that has
         run events without ``record`` refuses it from then on, since those
@@ -311,7 +314,8 @@ class Simulator:
         The loop keeps the state's scalars in locals and writes them back
         when it stops.  After every event it tests the five invariants of
         ``SimState.check`` as integer comparisons and stops at the first
-        broken one, which the closing ``check`` then names.
+        broken one, which the closing ``check`` then names.  A grid point
+        stores count, started and drained; queue and in_service follow.
         """
         if horizon < 0:
             raise ValueError("horizon must be >= 0")
@@ -339,33 +343,29 @@ class Simulator:
         next_arrival, draw = self._arrivals.__next__, self._requirements.__next__
         inf = math.inf
         neg_tol = -RESIDUAL_TOL
-        events: list = []
-        rows = {k: [] for k in ("t", "count", "queue", "zsrv", "started", "drained")}
-        snapshots: list = []
+        events, snapshots, counts, starts, drains = [], [], [], [], []
         gi = si = 0
         t_sample = min(grid[0], snaps_at[0])  # next grid or snapshot time
-        r = rates.get(count)  # k(count / n), tabulated per count on first use
-        if r is None:
-            r = rates[count] = float(rate_fn(count / n))
         arr = self._next_arrival
         try:
             while True:
+                r = rates.get(count)  # k(count / n), tabulated per count on first use
+                if r is None:
+                    r = rates[count] = float(rate_fn(count / n))
                 dep = inf if not heap or r <= 0.0 else clock + (heap[0] - drained) / r
                 t_next = dep if dep <= arr else arr
                 if t_sample < t_next:
                     while grid[gi] < t_next:
-                        g = grid[gi]
-                        rows["t"].append(g)
-                        rows["count"].append(count)
-                        rows["queue"].append(len(queue))
-                        rows["zsrv"].append(len(heap))
-                        rows["started"].append(started)
-                        rows["drained"].append(drained + r * (g - clock))
+                        counts.append(count)
+                        starts.append(started)
+                        drains.append(drained + r * (grid[gi] - clock))
                         gi += 1
                     while snaps_at[si] < t_next:
                         t = snaps_at[si]
                         d = drained + r * (t - clock)
-                        locs = np.array(heap, dtype=float) - d
+                        if heap and heap[0] - d < neg_tol:  # d may round past heap[0] near a departure
+                            raise AssertionError("negative residual work: internal bug")
+                        locs = np.maximum(np.array(heap, dtype=float) - d, 0.0)
                         snapshots.append(Snapshot(t, AtomicMeasure(locs, np.ones_like(locs)), d))
                         si += 1
                     t_sample = min(grid[gi], snaps_at[si])
@@ -426,9 +426,6 @@ class Simulator:
                     else:
                         queue.append((idx, v))
                     arr = next_arrival()
-                r = rates.get(count)
-                if r is None:
-                    r = rates[count] = float(rate_fn(count / n))
                 busy = len(heap)
                 waiting = len(queue)
                 if (count != busy + waiting
@@ -444,15 +441,16 @@ class Simulator:
                 s.unrecorded_events += arrivals + departures + started - counters_before
             self._next_arrival = arr
         s.check()
+        count_path = np.array(counts, dtype=np.int64)
         return Trajectory(
             n=n,
             horizon=horizon,
-            times=np.array(rows["t"]),
-            count=np.array(rows["count"], dtype=np.int64),
-            queue=np.array(rows["queue"], dtype=np.int64),
-            in_service=np.array(rows["zsrv"], dtype=np.int64),
-            started=np.array(rows["started"], dtype=np.int64),
-            drained=np.array(rows["drained"]),
+            times=np.array(grid[:gi]),
+            count=count_path,
+            queue=np.maximum(count_path - n, 0),
+            in_service=np.minimum(count_path, n),
+            started=np.array(starts, dtype=np.int64),
+            drained=np.array(drains),
             event_count=arrivals + departures + started - counters_before,
             events=events,
             snapshots=snapshots,

@@ -124,6 +124,17 @@ class TestSolveCount:
         oracle = rk4_drain_ode(2.0, 1.0, lambda v: min(0.5 + v, 2.0), 2.0, 2e-4)
         assert np.max(np.abs(x - oracle[::10])) <= 1e-5
 
+    @pytest.mark.parametrize("lam, x_end", [(1.2, 0.8736), (1.6, 1.0971), (2.2, 2.1133)])
+    def test_state_dependent_queue_matches_rk_oracle_to_the_horizon(self, lam, x_end):
+        # capacity min(0.5 + x, 2) min(x, 1): lambda 1.2 settles below one
+        # server's worth at 0.874, 1.6 settles on a queue at 1.1, and 2.2
+        # outruns the rate cap and grows by 0.2 per unit time
+        p = params_for(lam, horizon=5.0, dt=1e-3, rate=capped_linear_rate(0.5, 1.0, 2.0))
+        x, _ = fm.solve_count_path(p)
+        assert abs(x[-1] - x_end) <= 1e-4
+        oracle = rk4_drain_ode(lam, 1.0, lambda v: min(0.5 + v, 2.0), 5.0, 1e-4)
+        assert np.max(np.abs(x - oracle[::10])) <= 1e-6
+
     def test_overloaded_closed_form(self, overloaded):
         p, x, _ = overloaded
         assert np.max(np.abs(x - overloaded_count(p.times, 2.0))) <= 1e-3

@@ -153,9 +153,25 @@ class TestHandTraces:
             (DEPARTURE, 0.875, 1), (START, 0.875, 2),
             (DEPARTURE, 1.375, 2),
         ]
+        # right-continuous paths: the points at 0, 0.5 and 0.875 see the
+        # events at those times
         assert traj.count.tolist() == [1, 2, 1, 1, 0]
         assert traj.queue.tolist() == [0, 1, 0, 0, 0]
+        assert traj.in_service.tolist() == [1, 1, 1, 1, 0]
         assert traj.drained.tolist() == [0.0, 0.75, 1.5, 1.6875, 2.5625]
+
+    def test_snapshot_just_before_a_departure(self):
+        # t is below the departure time 3.7650123205148747, but the drain
+        # at t rounds one ulp past the finish offset: the residual reads 0
+        t = 3.7650123205148742
+        sim = Simulator(1, [1.4120318225483672, 2.4205969193333625],
+                        constant_rate(1.0179591500931953), arrivals=[0.0, 0.0])
+        traj = sim.run(4.0, grid=[0.0, t], snapshot_times=[t], record=True)
+        assert events_of(traj, DEPARTURE)[-1] == (3.7650123205148747, 2)
+        assert traj.count.tolist() == [2, 1]
+        (snap,) = traj.snapshots
+        assert snap.measure.locations.tolist() == [0.0]
+        assert snap.measure.weights.tolist() == [1.0]
 
 
 # Rates are 0 or powers of two and times and work are multiples of 1/4, so
@@ -648,6 +664,50 @@ class TestInfiniteServerLaw:
         t, x = np.meshgrid(times, xs, indexing="ij")
         self._assert_poisson(counts, scenario.lam * np.column_stack(
             [times, np.maximum(0.0, np.minimum(t, 1.0 - x))]))
+
+
+class TestRenewalArrivalVariance:
+    """Renewal arrivals in the infinite-server regime.  From an empty start
+    under ``underloaded_exp`` (lambda = 1/2, Gc(u) = e^-u, rate 1), X^n(t)
+    has mean m(t) = lambda int_0^t Gc and
+
+        n Var X^n(t) -> lambda int_0^t Gc (1 - Gc) + c_a^2 lambda int_0^t Gc^2,
+
+    with c_a^2 the squared coefficient of variation of the gaps: 1 for
+    exponential, 1/3 for uniform on [0, 2/lambda] and 0 for deterministic
+    gaps (the G/GI/inf diffusion limit: Krichagina and Puhalskii, Queueing
+    Systems 25, 1997).  At t = 5 that is 0.4966, 0.3300 and 0.2466, and
+    m = 0.4966; at n = 1000 the count sits near 500, far below n.
+
+    Over RUNS runs of a count with variance s2 = n V, the sample mean has
+    z-score (mean - n m) / sqrt(s2 / RUNS) and the sample variance
+    (var / s2 - 1) * sqrt((RUNS - 1) / 2), both standard normal in the
+    limit.  Z_MAX was fixed from that law before the test first ran: each
+    of the six scores exceeds it with probability about 1e-4 under the
+    law, the chi-square skew of the variance included.  With these seeds,
+    uniform gaps swapped for exponential ones give the uniform case a
+    variance score of +5.7, and every gap scaled by 1 + 1e-2 gives mean
+    scores of -4.2, -4.0 and -4.2: the exponential and deterministic
+    cases fail."""
+
+    RUNS = 400
+    N = 1000
+    T = 5.0
+    Z_MAX = 4.0
+
+    @pytest.mark.parametrize("kind, ca2", [("exponential", 1.0), ("uniform", 1.0 / 3.0),
+                                           ("deterministic", 0.0)])
+    def test_count_variance_has_the_diffusion_limit(self, kind, ca2):
+        scenario = dataclasses.replace(load_scenario(SCENARIO_DIR / "underloaded_exp.scn"),
+                                       arrival=kind)
+        counts = np.array([run_scenario_once(scenario, self.N, seed, grid=[self.T]).count[0]
+                           for seed in range(self.RUNS)], dtype=float)
+        assert counts.max() < self.N  # no one waits
+        lam, gc, gc2 = scenario.lam, 1.0 - math.exp(-self.T), (1.0 - math.exp(-2.0 * self.T)) / 2.0
+        mean, var = lam * gc, lam * (gc - gc2) + ca2 * lam * gc2
+        z_mean = (counts.mean() - self.N * mean) / math.sqrt(self.N * var / self.RUNS)
+        z_var = (counts.var(ddof=1) / (self.N * var) - 1.0) * math.sqrt((self.RUNS - 1) / 2.0)
+        assert abs(z_mean) <= self.Z_MAX and abs(z_var) <= self.Z_MAX, (z_mean, z_var)
 
 
 class TestStreams:
