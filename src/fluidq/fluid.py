@@ -2,9 +2,8 @@
 
 The scaled customer count X solves a scalar fixed-point equation: writing
 K(t) for the cumulative per-server drain (the integral of the service rate
-along the solution) and with ingredients built from the initial tail F, the
-initial queue mass q0, the arrival rate and the service law (tail Gc,
-density g),
+along the solution), F for the initial tail, q0 for the initial queue mass
+and Gc, g for the service law's tail and density,
 
     X(t) = F(K(t)) + q0*Gc(K(t))
            + lam * int_0^t Gc(K(t) - K(s)) ds
@@ -18,27 +17,23 @@ move with the unknown and the equation is a convolution:
 
 When k has a positive floor k_min (and k_sup/k_min <= MAX_NODES_PER_STEP)
 the solver marches this equation by the trapezoid rule on u_m = m*du with
-du = k_min*dt, until t(u) reaches the horizon, and interpolates X back onto
-the time grid; that takes up to (k_sup/k_min)*N nodes for N time steps.
-Otherwise (k reaches 0, so K can stall) it marches the time-grid trapezoid
-equation one step at a time.  Either way each node's unknown is one scalar
-solved by fixed-point iteration.
+du = k_min*dt until t(u) reaches the horizon, up to (k_sup/k_min)*N nodes
+for N time steps, and interpolates X back onto the time grid.  Otherwise
+(k reaches 0, so K can stall) it marches the time-grid trapezoid equation
+one step at a time.  Either way each node's unknown is one scalar solved
+by fixed-point iteration.
 
-The time-grid trapezoid defect is the judge of every solution: ``solve``
-accepts a path only when fixed_point_defect is within DEFECT_TOL_FACTOR *
-(1 + sup|X|).  The drain march solves another quadrature of the same
-equation, O(dt^2) away; where that gap exceeds the tolerance, ``solve``
-marches in time instead.  One function, _history, evaluates the
-time-grid trapezoid right-hand side for both the time march and the
-defect, with one law pass over each pair matrix K_i - K_j: Gc alone until
-a queue forms ((X - 1)^+ k(X) != 0 on a column), then Gc and g together
-(``ServiceLaw.tail_and_pdf``).  The defect needs O(N^2) such passes; it
-takes the rows DEFECT_BLOCK_ROWS at a time, each block one ``run_jobs``
-job swept CHUNK_ROWS rows at a time, so a process holds CHUNK_ROWS x N
-pair arrays and every float is the serial one.  ``run_jobs`` spreads
-independent keyed jobs over one forked worker per CPU; the tail
-surface's rows and the (n, seed) simulations of the harness and the CLI
-run on it too.
+The time-grid trapezoid defect judges every solution: ``solve`` accepts a
+path only when fixed_point_defect is within DEFECT_TOL_FACTOR *
+(1 + sup|X|), and marches in time where the drain march's quadrature sits
+further off.  One function, _history, evaluates the time-grid right-hand
+side for the time march and the defect, with one law pass over each pair
+matrix K_i - K_j: Gc alone until a queue forms, then Gc and g together.
+``run_jobs`` spreads keyed jobs (the defect's row blocks, the tail
+surface's rows, the harness's and the CLI's (n, seed) simulations) over
+one bare fork per CPU, fed key indices and read back over pipes.  No sum
+is split across CPUs or BLAS threads (BLAS_TERMS), so every float is the
+serial, single-threaded one.
 
 The tail surface z(t, x) of the limiting residual-work measure is a
 midpoint Stieltjes sum of Gc against the cumulative service-start path
@@ -53,6 +48,9 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import select
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +67,7 @@ MAX_NODES_PER_STEP = 16    # drain march only while k_sup/k_min is at most this
 DEFECT_BLOCK_ROWS = 256    # rows of the pair matrix in one defect job
 CHUNK_ROWS = 16            # rows of one law pass over the pair matrix
 MAX_TABLE_ENTRIES = 10**7  # tail_on_grid's table or block: 80 MB, as the parser's time grid
+BLAS_TERMS = 8192          # terms of one BLAS product; OpenBLAS threads a ddot of more than 10**4
 
 
 def time_grid(horizon: float, dt: float) -> np.ndarray:
@@ -78,9 +77,8 @@ def time_grid(horizon: float, dt: float) -> np.ndarray:
 
 
 class FluidSolverError(RuntimeError):
-    """A node's fixed-point iteration did not reach a finite fixed point
-    within MAX_PICARD_ITERATIONS, or the solution's defect is not within
-    tolerance."""
+    """A node's iteration found no finite fixed point within
+    MAX_PICARD_ITERATIONS, or the solution's defect is above tolerance."""
 
 
 class FluidAccuracyError(RuntimeError):
@@ -100,13 +98,9 @@ def check_initial_consistency(in_service_mass: float, queue_mass: float):
 
 @dataclass(frozen=True)
 class FluidParams:
-    """Inputs of one fluid solve.
-
-    Consistency at time zero is enforced on construction: with z0 the total
-    initial in-service mass, the initial queue must equal
-    (z0 + initial_queue - 1)^+ within 1e-9, i.e. a positive queue requires
-    a fully loaded initial tail.
-    """
+    """Inputs of one fluid solve.  On construction the initial queue must
+    equal (z0 + initial_queue - 1)^+ within 1e-9, z0 the initial in-service
+    mass: a positive queue requires a fully loaded initial tail."""
 
     arrival_rate: float
     service: ServiceLaw
@@ -158,11 +152,8 @@ class SolveDiagnostics:
 
 @dataclass(frozen=True)
 class FluidSolution:
-    """Grid paths of one solve plus the residual-work tail surface.
-
-    ``tail_surface[i, j]`` is the mass at or above ``x_grid[j]`` at time
-    ``surface_times[i]``.
-    """
+    """Grid paths of one solve plus the residual-work tail surface:
+    ``tail_surface[i, j]`` is the mass at or above ``x_grid[j]`` at ``surface_times[i]``."""
 
     times: np.ndarray
     count: np.ndarray       # X
@@ -180,9 +171,9 @@ def _h1(params: FluidParams, y):
     return params.initial_tail(y) + params.initial_queue * params.service.tail(y)
 
 
-def _drain_coeff(params: FluidParams, x):
-    """The drain coefficient (X - 1)^+ k(X) at count ``x``."""
-    return np.maximum(x - 1.0, 0.0) * params.rate(x)
+def _drain_coeff(x, k):
+    """The drain coefficient (X - 1)^+ k(X) at count ``x``, rate ``k``."""
+    return np.maximum(x - 1.0, 0.0) * k
 
 
 def march_kind(rate: RateFunction) -> str:
@@ -206,18 +197,22 @@ def cumulative_drain(count: np.ndarray, rate: RateFunction, dt: float) -> np.nda
 
 
 def queue_and_starts(count: np.ndarray, arrival_rate: float, times: np.ndarray):
-    """Queue mass (X - 1)^+ and cumulative service starts lam*t - Q.
-
-    The starts path must come out nondecreasing; a violation beyond 1e-9
-    means the count path is not accurate enough at this dt.
-    """
+    """Queue mass (X - 1)^+ and cumulative service starts lam*t - Q, which
+    must not decrease by more than 1e-9 (else the count path needs a finer dt)."""
     queue = np.maximum(count - 1.0, 0.0)
     started = arrival_rate * times - queue
     if started.size > 1 and np.min(np.diff(started)) < -1e-9:
-        raise FluidAccuracyError(
-            "cumulative service starts decreased; refine dt"
-        )
+        raise FluidAccuracyError("cumulative service starts decreased; refine dt")
     return queue, started
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The dot product of two vectors in pieces of at most BLAS_TERMS terms,
+    summed on Python floats, so no piece is split across BLAS threads."""
+    total = 0.0
+    for s in range(0, a.size, BLAS_TERMS):
+        total += float(a[s : s + BLAS_TERMS].dot(b[s : s + BLAS_TERMS]))
+    return total
 
 
 def _weigh(a: np.ndarray, i0: int, last: np.ndarray, dt: float):
@@ -239,11 +234,10 @@ def _history(params, drain: np.ndarray, coeff: np.ndarray, i0: int, i1: int, dt:
         rhs[i] = h1(K_i) + sum_j w_ij lam Gc(K_i - K_j)
                  + sum_j w_ij g(K_i - K_j) coeff_j,
 
-    each sum a row-wise sum over columns 0..i1.  Gc and g come from one law
-    pass over the pair matrix K_i - K_j, CHUNK_ROWS rows at a time, so a
-    row's floats depend on i1 alone, not on the chunk or on BLAS; where
-    coeff is 0 on columns 0..i1 (no queue yet), the last sum is exactly 0
-    and the passes take Gc alone (a NaN coeff is not 0).
+    each sum row-wise over columns 0..i1.  Gc and g come from one law pass
+    over the pair matrix K_i - K_j, CHUNK_ROWS rows at a time, so a row's
+    floats depend on i1 alone; where coeff is 0 on columns 0..i1 (no queue
+    yet, a NaN coeff is not 0) the last sum is 0 and the passes take Gc alone.
     """
     law = params.service
     queued = bool(np.any(coeff[: i1 + 1] != 0.0))
@@ -269,19 +263,14 @@ def _history(params, drain: np.ndarray, coeff: np.ndarray, i0: int, i1: int, dt:
 
 
 def solve_count_path(params: FluidParams, march: str | None = None):
-    """Solve the fixed-point equation for the scaled count on the time grid.
+    """Solve the fixed-point equation for the scaled count on the time grid
+    by the ``march`` "drain" or "time" (``march_kind(params.rate)`` by
+    default): the drain-time equation on u_m = m*du, du = k_min*dt, to the
+    first node at or past the horizon, X interpolated onto the time grid;
+    or the trapezoid equation one time step at a time.  Each node's scalar
+    unknown is iterated from the last solved value.
 
-    ``march`` is "drain" or "time"; by default ``march_kind(params.rate)``
-    picks it.  The drain march solves the drain-time equation on the grid
-    u_m = m*du, du = k_min*dt, to the first node at or past the horizon,
-    and interpolates X onto the time grid.  The time march solves the
-    trapezoid equation on the time grid one step at a time.
-
-    Each node's unknown is a scalar solved by fixed-point iteration from
-    the last solved value.
-
-    Returns (count path, SolveDiagnostics).
-    """
+    Returns (count path, SolveDiagnostics)."""
     params.service.require_lipschitz_density()
     march = march or march_kind(params.rate)
     du = float(params.rate.floor * params.dt_effective) if march == "drain" else math.nan
@@ -301,12 +290,12 @@ def _fixed_point(update, guess, where):
     """Iterate the scalar map ``update`` from ``guess`` until a finite change
     within PICARD_TOL_FACTOR * (1 + |x|).  Returns (x, iterations); the
     error names the node by ``where()``."""
-    x = guess
+    x, isfinite, tol = guess, math.isfinite, PICARD_TOL_FACTOR
     for it in range(1, MAX_PICARD_ITERATIONS + 1):
         new = update(x)
         change = abs(new - x)
         x = new
-        if math.isfinite(change) and change <= PICARD_TOL_FACTOR * (1.0 + abs(x)):
+        if isfinite(change) and change <= tol * (1.0 + abs(x)):
             return x, it
     raise FluidSolverError(
         f"no convergence {where()} in {MAX_PICARD_ITERATIONS} iterations "
@@ -315,24 +304,23 @@ def _fixed_point(update, guess, where):
 
 
 def _drain_march(params: FluidParams, diag: SolveDiagnostics) -> np.ndarray:
-    """March the drain-time equation
-
-        X(u) = h1(u) + int_0^u [lam/k(X(v)) Gc(u - v) + (X(v) - 1)^+ g(u - v)] dv
-
-    with t(u) = int_0^u dv/k(X(v)), by the trapezoid rule on u_m = m*du.
-    The kernels are fixed, so the lagged part of node m is two dot
-    products against reversed tables of Gc and g (the second skipped, as
-    0, until a node has a queue), and the lag-0 part leaves a scalar
-    equation, iterated on Python floats (a non-finite iterate is redone on
-    numpy scalars, so the caller's errstate sees it).  t grows by at least
-    du/k_sup per node, so at most k_sup/k_min nodes per time step are
-    needed.  Returns X on the time grid, linearly interpolated in t."""
+    """March the drain-time equation (see the module docstring) by the
+    trapezoid rule on u_m = m*du.  The kernels are fixed, so the lagged part
+    of node m is two dot products (``_dot`` past BLAS_TERMS nodes) against
+    reversed tables of Gc and g, the second 0 until a node has a queue.
+    The lagged sum and the lag-0 scalar equation are taken on Python floats,
+    with ``rate.scalar`` and the clips inline; a non-finite sum or iterate
+    is redone on numpy scalars, so the caller's errstate sees it.  t grows
+    by at least du/k_sup per node, so at most k_sup/k_min nodes per time
+    step are needed.  Returns X on the time grid, linearly interpolated in t."""
     rate = params.rate
+    k, whole_dot = rate.scalar, np.ndarray.dot  # k takes a count already clipped at 0
     lam = params.arrival_rate
     du = diag.du
     nodes = int(math.ceil(params.steps * rate.bound / rate.floor)) + 2
     u = du * np.arange(nodes + 1)
     h1_u = _h1(params, u)
+    h1 = h1_u.tolist()
     gc_u, g_u = params.service.tail_and_pdf(u)
     gc_rev = np.ascontiguousarray(gc_u[::-1])  # gc_rev[nodes - p] = Gc(p du)
     g_rev = np.ascontiguousarray(g_u[::-1])
@@ -341,36 +329,42 @@ def _drain_march(params: FluidParams, diag: SolveDiagnostics) -> np.ndarray:
     x = [float(params.initial_count)]
     t = [0.0]
     arrivals = np.empty(nodes + 1)  # trapezoid weight * lam/k(X) per node
-    excess = np.empty(nodes + 1)    # trapezoid weight * (X - 1)^+ per node
+    excess = np.zeros(nodes + 1)    # trapezoid weight * (X - 1)^+ per node
     inv_k = 1.0 / rate(x[0])
     arrivals[0] = 0.5 * lam * inv_k
     excess[0] = 0.5 * max(x[0] - 1.0, 0.0)
-    queued = False  # some node so far has excess != 0
+    queued = excess[0] != 0.0  # some node so far has excess != 0
 
-    def update(v):
-        new = lagged + lag0_arrivals / rate(v) + lag0_drain * max(v - 1.0, 0.0)
-        if math.isfinite(new):
+    def update(v, isfinite=math.isfinite):
+        # k(v) and (v - 1)^+ clipped as rate(v) and max(v - 1.0, 0.0) clip them
+        kv, over = k(0.0 if v <= 0.0 else float(v)), (0.0 if v < 1.0 else v - 1.0)
+        new = lagged + lag0_arrivals / kv + lag0_drain * over
+        if isfinite(new):
             return new
         f = np.float64
-        return f(lagged) + f(lag0_arrivals) / rate(v) + f(lag0_drain) * max(f(v) - 1.0, 0.0)
+        return f(lagged) + f(lag0_arrivals) / kv + f(lag0_drain) * over
 
     m = 0
+    where = lambda: f"at drain {m * du:.6g}"
     while t[m] < params.horizon:
         m += 1
         if m > nodes:
             raise FluidSolverError(f"drain march passed its {nodes} nodes before the horizon")
         lag = slice(nodes - m, nodes)
-        queued = queued or excess[m - 1] != 0.0
-        lagged = float(h1_u[m] + du * (
-            np.dot(arrivals[:m], gc_rev[lag]) + (np.dot(excess[:m], g_rev[lag]) if queued else 0.0)
-        ))
-        xm, it = _fixed_point(update, x[m - 1], lambda: f"at drain {m * du:.6g}")
-        inv_next = 1.0 / rate(xm)
+        dot = whole_dot if m <= BLAS_TERMS else _dot  # one call while one piece will do
+        ga = dot(arrivals[:m], gc_rev[lag])
+        ge = dot(excess[:m], g_rev[lag]) if queued else 0.0
+        lagged = h1[m] + du * (float(ga) + float(ge))
+        if not math.isfinite(lagged):
+            lagged = float(h1_u[m] + du * (ga + ge))
+        xm, it = _fixed_point(update, x[m - 1], where)
+        inv_next = 1.0 / k(0.0 if xm <= 0.0 else xm)
         x.append(xm)
         t.append(t[m - 1] + 0.5 * du * (inv_k + inv_next))
         inv_k = inv_next
         arrivals[m] = lam * inv_k
-        excess[m] = max(xm - 1.0, 0.0)
+        if xm > 1.0:
+            excess[m], queued = xm - 1.0, True
         diag.windows.append(it)
     return np.interp(params.times, t, x)
 
@@ -384,13 +378,13 @@ def _time_march(params: FluidParams, x: np.ndarray, diag: SolveDiagnostics):
     rate = params.rate
     k_all = np.asarray(rate(x), dtype=float)  # rewritten as steps solve
     drain = np.zeros(x.size)
-    coeff = _drain_coeff(params, x)
+    coeff = _drain_coeff(x, k_all)
 
     def follow(v, i):
         """Rate, drain and drain coefficient at row i along X_i = v."""
         k_all[i] = rate(v)
         drain[i] = drain[i - 1] + 0.5 * dt * (k_all[i - 1] + k_all[i])
-        coeff[i] = _drain_coeff(params, v)
+        coeff[i] = _drain_coeff(v, k_all[i])
 
     def update(v, i):
         follow(v, i)
@@ -411,60 +405,95 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-_pool_work = None  # (fn, keys) for the forked workers
-
-
-def _pool_job(i: int):
-    fn, keys = _pool_work
-    return fn(keys[i])
-
-
 def run_jobs(fn, keys) -> list:
     """``[fn(key) for key in keys]`` on one forked worker per CPU (in process
-    for one CPU or one key).  The fork context starts every worker from
-    the calling thread at the first ``submit``, so workers import nothing
-    again, see the caller's modules, arrays and numpy error state, and get
-    only a key's index.  A key's first entry sizes its job, so keys go out
-    largest first: n for an (n, seed) simulation, i0 for a defect block (a
-    later block has more columns).  Results are collected in key order, so
-    the first failing key raises, as in a serial loop."""
-    global _pool_work
+    for one CPU or one key).  A worker, a bare ``os.fork`` of the calling
+    thread with the caller's arrays and numpy errstate, gets key indices on
+    its own pipe as it comes free, largest first by a key's first entry (n
+    of an (n, seed) run, i0 of a defect block), and sends each result back
+    pickled on its own pipe, drained as data arrives.  As in a serial loop,
+    results come in key order and the first failing key raises its own
+    exception; a dead worker raises RuntimeError.  Workers leave by
+    ``os._exit``, killed and reaped on the way out, also on an interrupt."""
     workers = min(_cpus(), len(keys))
     if workers <= 1:
         return [fn(key) for key in keys]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    order = iter(sorted(range(len(keys)), key=lambda i: -keys[i][0]))
+    done, failed = {}, len(keys)  # index -> (ok, result or exception); the first failing index
+    pid, task, busy, data = {}, {}, {}, {}  # by result pipe: worker, task pipe, index, bytes read
+    poll = select.poll()
 
-    _pool_work = (fn, keys)
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    def hand_out(fd):
+        for i in order:
+            if i < failed:
+                busy[fd] = i
+                return os.write(task[fd], i.to_bytes(8, "little"))
+        poll.unregister(fd)  # idle until killed
+
     try:
-        order = sorted(range(len(keys)), key=lambda i: -keys[i][0])
-        futures = {i: pool.submit(_pool_job, i) for i in order}
-        return [futures[i].result() for i in range(len(keys))]
+        for _ in range(workers):
+            (task_r, task_w), (result_r, result_w) = os.pipe(), os.pipe()
+            task[result_r], data[result_r] = task_w, bytearray()
+            pid[result_r] = os.fork()
+            if pid[result_r] == 0:
+                try:
+                    for fd in (*task, *task.values()):
+                        os.close(fd)
+                    while index := os.read(task_r, 8):
+                        try:
+                            reply = pickle.dumps((True, fn(keys[int.from_bytes(index, "little")])), -1)
+                        except Exception as exc:
+                            reply = pickle.dumps((False, exc), -1)
+                        with open(result_w, "wb", closefd=False) as out:  # writes it all
+                            out.write(len(reply).to_bytes(8, "little") + reply)
+                finally:  # never back into the caller's code
+                    os._exit(1)
+            os.close(task_r)
+            os.close(result_w)
+            poll.register(result_r, select.POLLIN)
+            hand_out(result_r)
+        while busy:
+            for fd, _ in poll.poll():
+                chunk = os.read(fd, 1 << 16)
+                if not chunk:
+                    dead = pid.pop(fd)
+                    code = os.waitstatus_to_exitcode(os.waitpid(dead, 0)[1])
+                    raise RuntimeError(f"run_jobs worker {dead} died on key {keys[busy[fd]]!r} "
+                                       f"(exit code {code})")
+                data[fd] += chunk
+                if len(data[fd]) - 8 == int.from_bytes(data[fd][:8], "little"):
+                    i, reply, data[fd] = busy.pop(fd), data[fd], bytearray()
+                    done[i] = pickle.loads(memoryview(reply)[8:])
+                    failed = failed if done[i][0] else min(failed, i)
+                    hand_out(fd)
     finally:
-        pool.shutdown(cancel_futures=True)
-        _pool_work = None
+        for worker in pid.values():
+            os.kill(worker, signal.SIGKILL)
+        for worker in pid.values():
+            os.waitpid(worker, 0)
+        for fd in (*task, *task.values()):
+            os.close(fd)
+    if failed < len(keys):
+        raise done[failed][1]
+    return [done[i][1] for i in range(len(keys))]
 
 
 def fixed_point_defect(params: FluidParams, count: np.ndarray) -> float:
     """Sup-norm defect of a grid path in the count equation, with the
-    time-grid trapezoid quadrature of the time march.  A solution must
-    pass DEFECT_TOL_FACTOR * (1 + sup|X|); a visibly perturbed path must
-    not.
-
-    The rows are taken DEFECT_BLOCK_ROWS at a time, each block one
-    ``run_jobs`` job with key (i0,) that returns its max |X - rhs| from
-    one ``_history`` call (g only once a queue has formed by the block's
-    last row).  The floats do not depend on the CPU count; each process
-    holds one CHUNK_ROWS x N chunk of a block's pair arrays at a time.  A
-    NaN in any row makes the defect NaN, which no tolerance accepts."""
+    time-grid trapezoid quadrature of the time march; a solution must pass
+    DEFECT_TOL_FACTOR * (1 + sup|X|).  k is evaluated once along the path.
+    The rows go DEFECT_BLOCK_ROWS at a time, each block one ``run_jobs``
+    job with key (i0,) and one ``_history`` call, so a process holds one
+    CHUNK_ROWS x N chunk of pair arrays at a time and the floats do not
+    depend on the CPU count.  A NaN row makes the defect NaN."""
     count = np.asarray(count, dtype=float)
     n = count.size - 1
     if n != params.steps:
         raise ValueError("path length does not match the parameter grid")
     dt = params.dt_effective
-    drain = cumulative_drain(count, params.rate, dt)
-    coeff = _drain_coeff(params, count)
+    k = params.rate(count)  # one pass for the drain and the coefficient
+    drain = _cumtrapz(k, dt)
+    coeff = _drain_coeff(count, k)
 
     def block(key):
         i0 = key[0]
@@ -516,16 +545,15 @@ def tail_on_grid(
 
     as a midpoint sum.  On a drain lattice (see _drain_lattice) the nodes
     are K(t) - l*du, B there is interpolated linearly in K, and every
-    midpoint argument is (p + 1/2)*du, so one table of Gc, built for the
-    latest row, serves every row through a strided (Hankel) view of its
-    prefix and each row's sum is one matrix-vector product.  Otherwise, as
-    when k reaches 0 and K stalls while B grows, the intervals are those
-    of the time grid, and a row's arguments are taken in blocks of whole
-    x-columns, at most MAX_TABLE_ENTRIES of them unless one column has more.
-    Lattice rows go out 4 * _cpus() at a time as ``run_jobs`` jobs keyed by
-    the block's last row, the costliest first, each row the serial one; a
-    block's worth of rows (the harness's snapshots) and the time-grid rows,
-    whose BLAS threads would oversubscribe forked workers, stay here."""
+    midpoint argument is (p + 1/2)*du, so one table of Gc serves every row
+    through a strided (Hankel) view, whose row stride r is no BLAS layout:
+    ``@`` sums each row in order.  Otherwise, as when K stalls while B
+    grows, the intervals are those of the time grid, and a row's arguments
+    go in blocks of whole x-columns, at most MAX_TABLE_ENTRIES of them
+    unless one column has more, summed by ``np.einsum`` (a threaded gemv
+    would split the sums).  Lattice rows go out 4 * _cpus() at a time as
+    ``run_jobs`` jobs keyed by the block's last row; a single block (the
+    harness's snapshots) and the time-grid rows stay here."""
     x_grid = np.asarray(x_grid, dtype=float)
     svc_tail = params.service.tail
     rows = np.asarray(t_index, dtype=int)
@@ -548,7 +576,8 @@ def tail_on_grid(
                 lag = drained[i] - 0.5 * (drained[:i] + drained[1 : i + 1])
                 width = max(1, MAX_TABLE_ENTRIES // i)  # i x width arguments per block
                 for c in range(0, x_grid.size, width):
-                    z[row, c : c + width] += svc_tail(x_grid[None, c : c + width] + lag[:, None]).T @ db
+                    gc = svc_tail(x_grid[None, c : c + width] + lag[:, None])
+                    z[row, c : c + width] += np.einsum("ij,i->j", gc, db)
             else:
                 nodes = drained[i] - du * np.arange(steps[row] + 1)
                 nodes[-1] = 0.0  # the last interval ends where the drain starts
@@ -573,31 +602,31 @@ def solve(params: FluidParams, x_grid=None) -> FluidSolution:
     """Full solve: count path, queue/starts/drain paths, tail surface.
 
     The count path must pass the time-grid defect; a drain-march path that
-    does not is replaced by the time march's.  The surface is stored at
-    every (steps // 100)-th grid time and at the horizon.
-    The computed surface is validated: nonnegative within 1e-9,
-    nonincreasing in x within 1e-9, and z(t, 0) within quadrature slack of
-    min(count, 1).
-    """
+    does not is replaced by the time march's.  k is evaluated once along
+    the path for the drain, and once in the defect.  The surface, stored
+    at every (steps // 100)-th grid time and at the horizon, must be
+    nonnegative and nonincreasing in x within 1e-9, with z(t, 0) within
+    quadrature slack of min(count, 1)."""
     if x_grid is None:
         x_grid = np.arange(0.0, 10.0 + 1e-12, 0.05)
     x_grid = np.asarray(x_grid, dtype=float)
     dt = params.dt_effective
     count, diag = solve_count_path(params)
+    drained = cumulative_drain(count, params.rate, dt)
     # refuse an oversized tail table before paying for the defect
-    _drain_lattice(params, x_grid, float(cumulative_drain(count, params.rate, dt)[-1]))
+    _drain_lattice(params, x_grid, float(drained[-1]))
     diag.defect = fixed_point_defect(params, count)
     if diag.march == "drain" and not diag.defect <= defect_tolerance(count):
         # the drain path solves another quadrature of the same equation and
         # can sit O(dt^2) off the time grid's; solve the judged one instead
         count, diag = solve_count_path(params, march="time")
+        drained = cumulative_drain(count, params.rate, dt)
         diag.defect = fixed_point_defect(params, count)
     if not diag.defect <= defect_tolerance(count):
         raise FluidSolverError(
             f"defect {diag.defect:.3g} above tolerance {defect_tolerance(count):.3g}"
         )
     times = params.times
-    drained = cumulative_drain(count, params.rate, dt)
     queue, started = queue_and_starts(count, params.arrival_rate, times)
 
     stride = max(1, params.steps // 100)

@@ -16,7 +16,11 @@ every eps, and so the same distance.  ``service_cdf``, ``service_pdf`` and
 numpy form: the lognormal takes its log of the positive elements only, and
 each rate kind maps a whole array at once.  They use the same operations in
 the same order as the package's one formula, so the two must agree bit for
-bit.
+bit.  ``invariant_count`` and ``lognormal_excess_tail`` give the fluid's
+invariant state (Kaspi and Ramanan, Ann. Appl. Probab. 21, 2011, with the
+rate frozen at its value there): the count that balances arrived work
+against capacity, found by bisection, and the stationary-excess tail in
+closed form.
 """
 
 import itertools
@@ -330,6 +334,42 @@ def reference_simulation(n: int, arrival_times, requirements, rate,
             else:
                 waiting.append((arrived, v))
     return log, rows
+
+
+def invariant_count(arrival_rate: float, mean_service: float, rate) -> float:
+    """The root X* of min(X, 1) k(X) = lam E[v], bisected to the last float
+    from a bracket [0, 2^j] doubled until the capacity covers the load;
+    the capacity must be nondecreasing in X."""
+    def capacity(x):
+        return min(x, 1.0) * float(rate_on_array(rate, x))
+
+    load = arrival_rate * mean_service
+    lo, hi = 0.0, 1.0
+    while capacity(hi) < load:
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e6:
+            raise ValueError("the load outruns the capacity: no invariant count")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        lo, hi = (mid, hi) if capacity(mid) < load else (lo, mid)
+
+
+def lognormal_excess_tail(x, mu: float, sigma: float) -> np.ndarray:
+    """P(V_e > x) = E[(V - x)^+] / E[V] of the stationary-excess law of a
+    lognormal(mu, sigma) V, through
+
+        E[(V - x)^+] = E[V] Phi((mu + sigma^2 - ln x)/sigma) - x Phi((mu - ln x)/sigma),
+
+    and 1 at x <= 0."""
+    x = np.asarray(x, dtype=float)
+    out = np.ones_like(x)
+    pos = x > 0.0
+    log_x = np.log(x[pos])
+    mean = math.exp(mu + 0.5 * sigma * sigma)
+    out[pos] = ndtr((mu + sigma * sigma - log_x) / sigma) - x[pos] / mean * ndtr((mu - log_x) / sigma)
+    return out
 
 
 def underloaded_count(times: np.ndarray, arrival_rate: float) -> np.ndarray:

@@ -80,6 +80,56 @@ class TestRunJobs:
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
             fm.run_jobs(overflow, keys)
 
+    def test_first_failing_key_raises_its_own_error(self, monkeypatch):
+        # (2, 1) fails, so (1, 0), later in key order, is never handed out
+        # and its own error cannot win
+        monkeypatch.setattr(fm, "_cpus", lambda: 2)
+
+        def job(key):
+            if key == (2, 1):
+                raise KeyError("second key")
+            if key == (1, 0):
+                raise ValueError("third key")
+            return key
+
+        with pytest.raises(KeyError, match="second key"):
+            fm.run_jobs(job, [(3, 0), (2, 1), (1, 0)])
+        pytest.raises(ChildProcessError, os.waitpid, -1, os.WNOHANG)
+
+    def test_a_worker_that_dies_is_named(self, monkeypatch):
+        import signal
+
+        monkeypatch.setattr(fm, "_cpus", lambda: 2)
+
+        def job(key):
+            if key == (2, 1):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return key
+
+        with pytest.raises(RuntimeError, match=r"^run_jobs worker \d+ died on key \(2, 1\) \(exit code -9\)$"):
+            fm.run_jobs(job, [(1, 0), (2, 1), (3, 2)])
+        pytest.raises(ChildProcessError, os.waitpid, -1, os.WNOHANG)
+
+    def test_large_results_arrive_intact_in_key_order(self, monkeypatch):
+        # each result is 1 MB, far more than a pipe holds at once
+        monkeypatch.setattr(fm, "_cpus", lambda: 2)
+        keys = [(1, 0), (3, 1), (2, 2), (3, 3), (1, 4)]
+
+        def job(key):
+            return np.random.default_rng(key[1]).random(2**17)
+
+        results = fm.run_jobs(job, keys)
+        assert all(r.nbytes == 2**20 for r in results)
+        assert all(np.array_equal(r, job(key)) for r, key in zip(results, keys))
+        pytest.raises(ChildProcessError, os.waitpid, -1, os.WNOHANG)
+
+    def test_more_keys_than_a_pipe_holds(self, monkeypatch):
+        # 8-byte indices: a 64 KiB pipe holds 8192 of them
+        monkeypatch.setattr(fm, "_cpus", lambda: 2)
+        keys = [(i % 7, i) for i in range(65536 // 8 + 1000)]
+        assert fm.run_jobs(lambda key: key[1], keys) == list(range(len(keys)))
+        pytest.raises(ChildProcessError, os.waitpid, -1, os.WNOHANG)
+
 
 class TestConvergence:
     def test_zero_scenario_gaps_exactly_zero(self, solved):

@@ -1,7 +1,7 @@
 import contextlib
 import importlib.util
 import io
-import multiprocessing
+import os
 import re
 import subprocess
 import sys
@@ -712,7 +712,7 @@ class TestWorkers:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(args)
-        assert multiprocessing.active_children() == []
+        pytest.raises(ChildProcessError, os.waitpid, -1, os.WNOHANG)
         return code, out.getvalue(), err.getvalue()
 
     def test_same_output_for_any_cpu_count(self, tmp_path, monkeypatch, coarse_state_dependent):
