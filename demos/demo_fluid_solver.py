@@ -21,10 +21,11 @@ common = dict(
     initial_queue=0.0,
     dt=1e-3,
 )
+x_grid = np.arange(0.0, 10.025, 0.05)  # tail surface columns, x = 0, 0.05, ..., 10
 
 print("== underloaded, lambda = 0.5 ==")
 p = FluidParams(arrival_rate=0.5, horizon=5.0, **common)
-sol = fluid_mod.solve(p)
+sol = fluid_mod.solve(p, x_grid)
 exact = 0.5 * (1.0 - np.exp(-sol.times))
 print(f"  sup |X - closed form|      : {np.max(np.abs(sol.count - exact)):.2e}")
 idx = np.searchsorted(sol.times, sol.surface_times)
@@ -36,7 +37,7 @@ print(f"  {d.march} march, nodes {len(d.windows)}, iterations {d.total_iteration
 
 print("\n== overloaded, lambda = 2 ==")
 p2 = FluidParams(arrival_rate=2.0, horizon=4.0, **common)
-sol2 = fluid_mod.solve(p2)
+sol2 = fluid_mod.solve(p2, x_grid)
 t = sol2.times
 closed = np.where(t <= math.log(2), 2 * (1 - np.exp(-t)), 1 + (t - math.log(2)))
 print(f"  sup |X - closed form|      : {np.max(np.abs(sol2.count - closed)):.2e}")

@@ -8,7 +8,7 @@
 Common flags: --seed (base-seed override) and --n (comma list override),
 read by the parsers of the scenario keys ``seed`` and ``n_list`` (and
 held to the scenario's cap on customers per run), and --quiet.  Exit
-codes: 0 ok, 2 configuration error, 3 numeric failure.
+codes: 0 ok, 2 configuration error, 3 numeric failure or a dead worker.
 Every artifact header carries the scenario hash and the seed, and
 identical inputs produce byte-identical artifacts.  A command computes
 all of its artifacts before the first is written, so a run writes nothing
@@ -28,7 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fluid import FluidAccuracyError, FluidSolution, FluidSolverError, run_jobs, solve
+from .fluid import (FluidAccuracyError, FluidSolution, FluidSolverError, WorkerDiedError, run_jobs,
+                    solve)
 from .harness import (ConvergenceReport, convergence_experiment, gc_block, glivenko_cantelli_check,
                       run_scenario_once)
 from .measures import AtomicMeasure
@@ -256,6 +257,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (FluidSolverError, FluidAccuracyError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except WorkerDiedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
     out, begun = Path(args.out), []

@@ -40,8 +40,9 @@ midpoint Stieltjes sum of Gc against the cumulative service-start path
 B(t) = lam*t - Q(t), which is robust to the kinks B picks up when the
 queue empties or fills.  With a positive floor it is taken on a drain
 lattice, so one table of Gc serves every row.  ``tail_on_grid`` gives the
-rows at indices of ``time_grid``, the one time grid, for ``solve``'s
-stored rows and the harness's snapshot measures alike.
+rows at indices of ``time_grid``, the one time grid; ``solve`` stores and
+checks the rows at the times its caller names, so the harness's snapshot
+measures are rows of the solution's own surface.
 """
 
 from __future__ import annotations
@@ -83,6 +84,10 @@ class FluidSolverError(RuntimeError):
 
 class FluidAccuracyError(RuntimeError):
     """A solution identity failed beyond slack; a smaller dt should fix it."""
+
+
+class WorkerDiedError(RuntimeError):
+    """A ``run_jobs`` worker died before it sent a key's result."""
 
 
 def check_initial_consistency(in_service_mass: float, queue_mass: float):
@@ -413,7 +418,7 @@ def run_jobs(fn, keys) -> list:
     of an (n, seed) run, i0 of a defect block), and sends each result back
     pickled on its own pipe, drained as data arrives.  As in a serial loop,
     results come in key order and the first failing key raises its own
-    exception; a dead worker raises RuntimeError.  Workers leave by
+    exception; a dead worker raises WorkerDiedError.  Workers leave by
     ``os._exit``, killed and reaped on the way out, also on an interrupt."""
     workers = min(_cpus(), len(keys))
     if workers <= 1:
@@ -458,8 +463,8 @@ def run_jobs(fn, keys) -> list:
                 if not chunk:
                     dead = pid.pop(fd)
                     code = os.waitstatus_to_exitcode(os.waitpid(dead, 0)[1])
-                    raise RuntimeError(f"run_jobs worker {dead} died on key {keys[busy[fd]]!r} "
-                                       f"(exit code {code})")
+                    raise WorkerDiedError(f"run_jobs worker {dead} died on key {keys[busy[fd]]!r} "
+                                          f"(exit code {code})")
                 data[fd] += chunk
                 if len(data[fd]) - 8 == int.from_bytes(data[fd][:8], "little"):
                     i, reply, data[fd] = busy.pop(fd), data[fd], bytearray()
@@ -552,8 +557,8 @@ def tail_on_grid(
     go in blocks of whole x-columns, at most MAX_TABLE_ENTRIES of them
     unless one column has more, summed by ``np.einsum`` (a threaded gemv
     would split the sums).  Lattice rows go out 4 * _cpus() at a time as
-    ``run_jobs`` jobs keyed by the block's last row; a single block (the
-    harness's snapshots) and the time-grid rows stay here."""
+    ``run_jobs`` jobs keyed by the block's last row; a single block (a few
+    rows, as compare's snapshots) and the time-grid rows stay here."""
     x_grid = np.asarray(x_grid, dtype=float)
     svc_tail = params.service.tail
     rows = np.asarray(t_index, dtype=int)
@@ -598,19 +603,23 @@ def _grid_index(times: np.ndarray, t: float) -> int:
     return i
 
 
-def solve(params: FluidParams, x_grid=None) -> FluidSolution:
+def solve(params: FluidParams, x_grid, surface_times=None) -> FluidSolution:
     """Full solve: count path, queue/starts/drain paths, tail surface.
 
     The count path must pass the time-grid defect; a drain-march path that
     does not is replaced by the time march's.  k is evaluated once along
-    the path for the drain, and once in the defect.  The surface, stored
-    at every (steps // 100)-th grid time and at the horizon, must be
-    nonnegative and nonincreasing in x within 1e-9, with z(t, 0) within
-    quadrature slack of min(count, 1)."""
-    if x_grid is None:
-        x_grid = np.arange(0.0, 10.0 + 1e-12, 0.05)
+    the path for the drain, and once in the defect.  The surface is stored
+    over ``x_grid`` at the grid times ``surface_times``, in their order
+    (ValueError for one off the grid by more than 1e-9), by default at
+    every (steps // 100)-th grid time and at the horizon.  Its stored rows
+    must be nonnegative and nonincreasing in x within 1e-9, with z(t, 0)
+    within quadrature slack of min(count, 1)."""
     x_grid = np.asarray(x_grid, dtype=float)
-    dt = params.dt_effective
+    times, dt = params.times, params.dt_effective
+    if surface_times is None:
+        idx = np.r_[0 : params.steps : max(1, params.steps // 100), params.steps]
+    else:
+        idx = np.array([_grid_index(times, t) for t in surface_times], dtype=int)
     count, diag = solve_count_path(params)
     drained = cumulative_drain(count, params.rate, dt)
     # refuse an oversized tail table before paying for the defect
@@ -626,19 +635,13 @@ def solve(params: FluidParams, x_grid=None) -> FluidSolution:
         raise FluidSolverError(
             f"defect {diag.defect:.3g} above tolerance {defect_tolerance(count):.3g}"
         )
-    times = params.times
     queue, started = queue_and_starts(count, params.arrival_rate, times)
-
-    stride = max(1, params.steps // 100)
-    idx = np.arange(0, params.steps + 1, stride)
-    if idx[-1] != params.steps:
-        idx = np.append(idx, params.steps)
     surface = tail_on_grid(params, drained, started, idx, x_grid)
 
-    # identity checks on the assembled solution
+    # identity checks on the stored rows
     if np.min(surface) < -1e-9:
         raise FluidAccuracyError("negative tail mass; refine dt")
-    if surface.shape[1] > 1 and np.max(np.diff(surface, axis=1)) > 1e-9:
+    if np.max(np.diff(surface, axis=1), initial=0.0) > 1e-9:
         raise FluidAccuracyError("tail surface increases in x; refine dt")
     z0_slack = max(
         1e-9,

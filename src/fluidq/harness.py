@@ -2,8 +2,9 @@
 empirical law-of-large-numbers checks for block empirical measures.
 
 Both sides of a gap sit on the scenario's time grid.  The fluid measure at
-a snapshot is the row of ``fluid.tail_on_grid`` at the snapshot's grid index,
-differenced into cell-midpoint atoms by ``discretize_fluid_measure``.
+a snapshot is the row of ``fluid.solve``'s tail surface stored and checked
+at that time, differenced into cell-midpoint atoms by
+``discretize_fluid_measure``.
 
 All stochastic outputs are deterministic functions of the seeds handed in.
 The (n, seed) runs are independent jobs that ``fluid.run_jobs``, the one
@@ -75,7 +76,7 @@ class ConvergenceReport:
 
 def discretize_fluid_measure(z, x_grid) -> AtomicMeasure:
     """Atomic stand-in for the fluid residual-work measure whose tail over
-    ``x_grid`` is the row ``z`` (see fluid.tail_on_grid).
+    ``x_grid`` is the row ``z``, one of ``fluid.solve``'s tail surface.
 
     Each grid cell contributes an atom at its midpoint with the cell's
     tail decrement as weight; mass beyond the last grid point sits in a
@@ -97,14 +98,14 @@ def discretize_fluid_measure(z, x_grid) -> AtomicMeasure:
     return AtomicMeasure(locations, cell_mass)
 
 
-def run_scenario_once(scenario, n: int, seed: int, grid=None, snapshot_times=(), record=False):
-    """One raw simulation run of the scenario at scale n.
+def run_scenario_once(scenario, n: int, seed: int, grid=None, snapshot_times=()):
+    """One raw simulation run of the scenario at scale n, keeping no event
+    log or customer records.
 
     The initial condition is sampled from the scenario's initial tail and
     queue mass (an empty start draws nothing); arrival and service streams
     derive from ``seed`` alone so a fixed seed couples the draws across the
-    n ladder.  The event log and customer records are kept only with
-    ``record``.
+    n ladder.
     """
     service = scenario.build_service()
     state_rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
@@ -117,17 +118,13 @@ def run_scenario_once(scenario, n: int, seed: int, grid=None, snapshot_times=(),
         state=init(n, residuals=residuals, queue_requirements=reqs),
         seed=seed,
     )
-    return sim.run(scenario.horizon, grid=grid, snapshot_times=snapshot_times, record=record)
+    return sim.run(scenario.horizon, grid=grid, snapshot_times=snapshot_times)
 
 
-def convergence_experiment(
-    scenario,
-    n_list=None,
-    seeds=None,
-    solution: fluid_mod.FluidSolution | None = None,
-) -> ConvergenceReport:
+def convergence_experiment(scenario, n_list=None, seeds=None) -> ConvergenceReport:
     """Run the scaled simulations and report sup-norm and Prohorov gaps
-    against the fluid solution, one row per (n, seed).
+    against the fluid solution, its surface stored at the snapshot times,
+    one row per (n, seed).
 
     ``seeds`` defaults to the scenario's seed plus 0 .. replications - 1.
     Laws without a Lipschitz density have no fluid target; the report is
@@ -140,12 +137,10 @@ def convergence_experiment(
         seeds = [scenario.seed + r for r in range(scenario.replications)]
     snapshot_times = tuple(scenario.snapshot_times)
 
-    params = scenario.fluid_params()
-    if solution is None:
-        try:
-            solution = fluid_mod.solve(params, x_grid=scenario.x_grid())
-        except DensityRequiredError:
-            pass
+    try:
+        solution = fluid_mod.solve(scenario.fluid_params(), scenario.x_grid(), snapshot_times)
+    except DensityRequiredError:
+        solution = None
 
     keys = sorted({(n, seed) for n in n_list for seed in seeds})
     report = ConvergenceReport(
@@ -160,11 +155,8 @@ def convergence_experiment(
         return report
 
     grid = scenario.time_grid()
-    x_grid = scenario.x_grid()
-    idx = [fluid_mod._grid_index(solution.times, t) for t in snapshot_times]
-    rows = fluid_mod.tail_on_grid(params, solution.drained, solution.started, idx, x_grid)
-    fluid_measures = {t: discretize_fluid_measure(z, x_grid)
-                      for t, z in zip(snapshot_times, rows)}
+    fluid_measures = {t: discretize_fluid_measure(z, solution.x_grid)
+                      for t, z in zip(snapshot_times, solution.tail_surface)}
 
     def job(key):
         n, seed = key

@@ -32,6 +32,8 @@ from oracles import (
     underloaded_count,
 )
 
+XS = np.arange(0.0, 10.0 + 1e-12, 0.05)  # a scenario's default x-grid
+
 
 def params_for(lam, horizon=5.0, dt=1e-3, service=None, rate=None,
                initial_tail=None, q0=0.0):
@@ -237,7 +239,7 @@ class TestSolveCount:
         p = params_for(1.2, horizon=0.5, dt=5e-3, rate=capped_linear_rate(0.5, 1.0, 2.0))
         x, _ = fm.solve_count_path(p)
         assert fm.fixed_point_defect(p, x) > fm.defect_tolerance(x)
-        sol = fm.solve(p)
+        sol = fm.solve(p, XS)
         assert sol.diagnostics.march == "time" and len(sol.diagnostics.windows) == p.steps
         assert sol.diagnostics.defect <= fm.defect_tolerance(sol.count)
 
@@ -372,7 +374,7 @@ class TestTailSurface:
         grid = np.arange(0.0, 10.01, 0.05)
         tail0 = TailFunction(grid, 0.6 * np.exp(-grid))
         p = params_for(0.3, horizon=2.0, initial_tail=tail0)
-        sol = fm.solve(p)
+        sol = fm.solve(p, XS)
         xs = np.array([0.0, 0.4, 1.3, 5.0])
         z = fm.tail_on_grid(p, sol.drained, sol.started, 0, xs)
         assert np.max(np.abs(z - tail0(xs))) <= 1e-12
@@ -390,7 +392,7 @@ class TestTailSurface:
 
     def test_tail_at_zero_is_capped_count(self, overloaded):
         p, x, _ = overloaded
-        sol = fm.solve(p)
+        sol = fm.solve(p, XS)
         idx = np.searchsorted(sol.times, sol.surface_times)
         bound = 10 * p.dt_effective * p.arrival_rate * p.service.density_bound
         gap = np.max(np.abs(sol.tail_surface[:, 0] - np.minimum(x[idx], 1.0)))
@@ -398,7 +400,7 @@ class TestTailSurface:
 
     def test_surface_monotone_and_nonnegative(self, overloaded):
         p, _, _ = overloaded
-        sol = fm.solve(p)
+        sol = fm.solve(p, XS)
         assert np.min(sol.tail_surface) >= -1e-9
         assert np.max(np.diff(sol.tail_surface, axis=1)) <= 1e-9
 
@@ -477,6 +479,26 @@ class TestTailSurface:
         assert fm._grid_index(p.times, 2.5) == 2500
         with pytest.raises(ValueError, match="grid"):
             fm._grid_index(p.times, 0.00123456)
+
+    def test_off_grid_surface_time_rejected(self, underloaded):
+        p, _, _ = underloaded
+        with pytest.raises(ValueError, match="time 0.00123456 is not on the solution grid"):
+            fm.solve(p, XS, [2.5, 0.00123456])
+
+    @pytest.mark.parametrize("name", ["underloaded_exp", "state_dependent"])
+    def test_surface_stored_at_the_named_times(self, solved, name):
+        # the rows stored at the times a caller names are the default
+        # surface's rows there, float for float; the default times named
+        # back give the whole surface
+        scenario, p, whole = solved(name)
+        xs = scenario.x_grid()
+        snap = fm.solve(p, xs, scenario.snapshot_times)
+        rows = [fm._grid_index(whole.surface_times, t) for t in scenario.snapshot_times]
+        assert snap.surface_times.tolist() == whole.surface_times[rows].tolist()
+        assert snap.tail_surface.tolist() == whole.tail_surface[rows].tolist()
+        again = fm.solve(p, xs, whole.surface_times)
+        assert again.surface_times.tolist() == whole.surface_times.tolist()
+        assert again.tail_surface.tolist() == whole.tail_surface.tolist()
 
 
 class TestWarmStartClosedForms:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fluidq import fluid as fm
+from fluidq import harness
 from fluidq.cli import report_to_text, summary_to_text
 from fluidq.harness import (
     convergence_experiment,
@@ -16,7 +17,8 @@ from fluidq.measures import prohorov
 
 
 def _fluid_measure(params, sol, t, x_grid):
-    """The fluid measure at time t, by the route convergence_experiment takes."""
+    """The fluid measure at time t over ``x_grid``: the tail row there,
+    differenced into atoms."""
     i = fm._grid_index(sol.times, t)
     z = fm.tail_on_grid(params, sol.drained, sol.started, i, x_grid)
     return discretize_fluid_measure(z, x_grid)
@@ -133,10 +135,9 @@ class TestRunJobs:
 
 class TestConvergence:
     def test_zero_scenario_gaps_exactly_zero(self, solved):
-        scenario, _, sol = solved("zero_arrivals")
+        scenario, _, _ = solved("zero_arrivals")
         report = convergence_experiment(
-            scenario, n_list=[5, 50], seeds=[scenario.seed, scenario.seed + 1],
-            solution=sol,
+            scenario, n_list=[5, 50], seeds=[scenario.seed, scenario.seed + 1]
         )
         assert not report.simulation_only
         for row in report.rows:
@@ -147,10 +148,9 @@ class TestConvergence:
                 assert d == 0.0
 
     def test_rows_keyed_uniquely_and_sorted(self, solved):
-        scenario, _, sol = solved("zero_arrivals")
+        scenario, _, _ = solved("zero_arrivals")
         report = convergence_experiment(
-            scenario, n_list=[20, 10], seeds=[scenario.seed, scenario.seed + 1],
-            solution=sol,
+            scenario, n_list=[20, 10], seeds=[scenario.seed, scenario.seed + 1]
         )
         keys = [(r.n, r.seed) for r in report.rows]
         assert keys == sorted(keys)
@@ -158,20 +158,36 @@ class TestConvergence:
 
     def test_every_seed_gets_a_row(self, solved):
         # five seeds on a scenario with three replications: none dropped
-        scenario, _, sol = solved("zero_arrivals")
+        scenario, _, _ = solved("zero_arrivals")
         assert scenario.replications == 3
-        report = convergence_experiment(
-            scenario, n_list=[10], seeds=[1, 2, 3, 4, 5], solution=sol
-        )
+        report = convergence_experiment(scenario, n_list=[10], seeds=[1, 2, 3, 4, 5])
         assert [(r.n, r.seed) for r in report.rows] == [(10, s) for s in (1, 2, 3, 4, 5)]
 
     def test_doubling_n_guard(self, solved):
-        scenario, _, sol = solved("underloaded_exp")
-        report = convergence_experiment(
-            scenario, n_list=[25, 50], seeds=[scenario.seed], solution=sol,
-        )
+        scenario, _, _ = solved("underloaded_exp")
+        report = convergence_experiment(scenario, n_list=[25, 50], seeds=[scenario.seed])
         small, big = report.rows[0], report.rows[1]
         assert big.count_gap <= 3.0 * small.count_gap
+
+    def test_snapshot_measures_are_rows_of_the_solution(self, solved, monkeypatch):
+        # one surface route: the solve stores and checks the rows at the
+        # snapshot times, and the fluid measures are those rows
+        scenario, _, sol = solved("underloaded_exp")
+        tail_on_grid, calls, measures = fm.tail_on_grid, [], []
+
+        def spy(params, drained, started, t_index, x_grid):
+            calls.append(np.asarray(t_index).tolist())
+            return tail_on_grid(params, drained, started, t_index, x_grid)
+
+        monkeypatch.setattr(fm, "tail_on_grid", spy)
+        monkeypatch.setattr(harness, "discretize_fluid_measure",
+                            lambda z, x_grid: measures.append(z.tolist()))
+        monkeypatch.setattr(harness, "run_jobs", lambda fn, keys: [])
+        convergence_experiment(scenario, n_list=[10], seeds=[scenario.seed])
+        assert scenario.snapshot_times == (1.0, 2.5, 5.0)
+        assert calls == [[1000, 2500, 5000]]
+        rows = [fm._grid_index(sol.surface_times, t) for t in scenario.snapshot_times]
+        assert measures == sol.tail_surface[rows].tolist()
 
     def test_simulation_only_without_density(self, scenario_dir):
         from fluidq.scenario import load_scenario
@@ -183,7 +199,6 @@ class TestConvergence:
         assert "nan" in report_to_text(report)
 
     def test_simulation_only_runs_no_simulation(self, scenario_dir, monkeypatch):
-        from fluidq import harness
         from fluidq.scenario import load_scenario
 
         def no_run(*args, **kwargs):
@@ -203,10 +218,8 @@ class TestConvergence:
         # warm starts exercise the inverse-transform initial sampling and
         # the queue-seeded start through the whole gap pipeline
         for name in ("warm_start", "queue_start"):
-            scenario, _, sol = solved(name)
-            report = convergence_experiment(
-                scenario, n_list=[25, 400], seeds=[scenario.seed], solution=sol,
-            )
+            scenario, _, _ = solved(name)
+            report = convergence_experiment(scenario, n_list=[25, 400], seeds=[scenario.seed])
             small, big = report.rows
             assert big.count_gap < small.count_gap
             assert big.count_gap < 0.15
@@ -258,11 +271,14 @@ class TestOscillation:
 class TestRunScenarioOnce:
     def test_deterministic_per_seed(self, solved):
         scenario, _, _ = solved("underloaded_exp")
-        a = run_scenario_once(scenario, 10, 123, grid=np.linspace(0, 5, 51), record=True)
-        b = run_scenario_once(scenario, 10, 123, grid=np.linspace(0, 5, 51), record=True)
-        assert a.events
-        assert a.events == b.events
-        assert np.array_equal(a.count, b.count)
+        a, b = (run_scenario_once(scenario, 10, 123, np.linspace(0, 5, 51), scenario.snapshot_times)
+                for _ in range(2))
+        assert a.event_count > 0 and a.events == []
+        assert a.event_count == b.event_count
+        for col in ("count", "queue", "started", "drained"):
+            assert np.array_equal(getattr(a, col), getattr(b, col)), col
+        assert [(sn.measure, sn.drained) for sn in a.snapshots] == \
+            [(sn.measure, sn.drained) for sn in b.snapshots]
 
     def test_initial_condition_sampled(self, solved):
         scenario, _, _ = solved("queue_start")

@@ -3,6 +3,7 @@ import importlib.util
 import io
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -572,6 +573,23 @@ class TestCli:
         assert code == 3
         assert not out.exists() or not list(out.iterdir())
 
+    def test_compare_checks_its_snapshot_rows(self, tmp_path, scenario_dir, monkeypatch, capsys):
+        # compare's fluid measures are the rows solve stores and checks: a
+        # snapshot row patched negative fails the run, which writes nothing
+        tail_on_grid = fluid_mod.tail_on_grid
+
+        def negative_row(*args):
+            rows = tail_on_grid(*args)
+            rows[1] = -1e-3
+            return rows
+
+        monkeypatch.setattr(fluid_mod, "tail_on_grid", negative_row)
+        out = tmp_path / "out"
+        code = run_cli(["compare", "--scenario", str(scenario_dir / "underloaded_exp.scn"),
+                        "--out", str(out), "--n", "10", "--quiet"])
+        assert (code, capsys.readouterr().err) == (3, "numeric failure: negative tail mass; refine dt\n")
+        assert not out.exists() or not list(out.iterdir())
+
     @pytest.mark.parametrize("laws", [
         "service = exponential rate=50.0\nrate = capped_linear base=0.5 slope=4.0 cap=6.0\n",
         "service = exponential rate=300.0\nrate = constant value=1.0\n",
@@ -779,6 +797,26 @@ class TestWorkers:
                 "--n", "10,20", "--quiet"])
             assert (code, stderr) == expected
             assert not out.exists() or not list(out.iterdir())
+
+    def test_a_dead_worker_exits_3_naming_it(self, tmp_path, monkeypatch, scenario_dir):
+        # a worker killed mid-job (a signal, the OOM killer) ends the run
+        # with exit 3 and one line naming it, its key and its exit code
+        parent, run_once = os.getpid(), cli.run_scenario_once
+
+        def dying(scenario, n, *args, **kwargs):
+            if n == 10 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_once(scenario, n, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_scenario_once", dying)
+        out = tmp_path / "out"
+        code, _, stderr = self._main(monkeypatch, 2, [
+            "simulate", "--scenario", str(scenario_dir / "underloaded_exp.scn"), "--out", str(out),
+            "--n", "10,100", "--quiet"])
+        assert code == 3
+        assert re.fullmatch(r"error: run_jobs worker \d+ died on key \(10, \d+\) \(exit code -9\)\n",
+                            stderr), stderr
+        assert not out.exists() or not list(out.iterdir())
 
 
 # Laws, rates and initial conditions a CLI run draws, a few values each.

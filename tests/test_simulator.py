@@ -450,10 +450,12 @@ def _scenario_run(monkeypatch, name, n, seed, record):
             super().__init__(*args, **kwargs)
             built.append(self)
 
+        def run(self, *args, **kwargs):
+            return super().run(*args, **kwargs, record=record)
+
     monkeypatch.setattr(harness, "Simulator", Keeping)
     scenario = load_scenario(SCENARIO_DIR / f"{name}.scn")
-    traj = run_scenario_once(scenario, n, seed, scenario.time_grid(),
-                             scenario.snapshot_times, record=record)
+    traj = run_scenario_once(scenario, n, seed, scenario.time_grid(), scenario.snapshot_times)
     return traj, built[0].state
 
 
