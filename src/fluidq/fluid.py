@@ -36,13 +36,13 @@ is split across CPUs or BLAS threads (BLAS_TERMS), so every float is the
 serial, single-threaded one.
 
 The tail surface z(t, x) of the limiting residual-work measure is a
-midpoint Stieltjes sum of Gc against the cumulative service-start path
-B(t) = lam*t - Q(t), which is robust to the kinks B picks up when the
-queue empties or fills.  With a positive floor it is taken on a drain
-lattice, so one table of Gc serves every row.  ``tail_on_grid`` gives the
-rows at indices of ``time_grid``, the one time grid; ``solve`` stores and
-checks the rows at the times its caller names, so the harness's snapshot
-measures are rows of the solution's own surface.
+midpoint Stieltjes sum of Gc against the service starts B = lam*t - Q,
+robust to the kinks B picks up when the queue empties or fills.  Its
+intervals lie on a drain lattice where the drain march applies, on the
+time grid otherwise; a row is one einsum per block of x-columns, rows go
+out 4 * CPUs to a job, and no surface row calls BLAS.  ``tail_on_grid``
+gives the rows at indices of ``time_grid``; ``solve`` stores and checks
+the rows its caller names, so the harness's snapshots are its own rows.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ import signal
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .laws import RateFunction, ServiceLaw
 from .measures import TailFunction
@@ -550,50 +550,50 @@ def tail_on_grid(
 
     as a midpoint sum.  On a drain lattice (see _drain_lattice) the nodes
     are K(t) - l*du, B there is interpolated linearly in K, and every
-    midpoint argument is (p + 1/2)*du, so one table of Gc serves every row
-    through a strided (Hankel) view, whose row stride r is no BLAS layout:
-    ``@`` sums each row in order.  Otherwise, as when K stalls while B
-    grows, the intervals are those of the time grid, and a row's arguments
-    go in blocks of whole x-columns, at most MAX_TABLE_ENTRIES of them
-    unless one column has more, summed by ``np.einsum`` (a threaded gemv
-    would split the sums).  Lattice rows go out 4 * _cpus() at a time as
-    ``run_jobs`` jobs keyed by the block's last row; a single block (a few
-    rows, as compare's snapshots) and the time-grid rows stay here."""
+    midpoint argument is (p + 1/2)*du, so one table of Gc serves every row:
+    the parent lays it out as lag[p, j] = table[p + j*r], and a row's
+    arguments are a prefix of it.  Otherwise, as when K stalls while B
+    grows, the intervals are the time grid's and each row builds its own.
+    Either way a row is one ``np.einsum`` per block of whole x-columns, a
+    contiguous block of at most MAX_TABLE_ENTRIES arguments for the row
+    with the most intervals (unless one column has more); on two columns or
+    more it sums each column in order, and no row calls BLAS.  Each column
+    block is one fan-out of ``run_jobs`` jobs of 4 * _cpus() rows, keyed by
+    the block's last row."""
     x_grid = np.asarray(x_grid, dtype=float)
     svc_tail = params.service.tail
     rows = np.asarray(t_index, dtype=int)
     flat = rows.ravel()
     z = np.asarray(params.initial_tail(x_grid + drained[flat, None]), dtype=float)
     lattice = _drain_lattice(params, x_grid, float(np.max(drained[rows], initial=0.0)))
+    intervals = flat.tolist()  # each row's; on the time grid, its index i
     if lattice is not None:
         du, r = lattice
-        steps = [int(math.ceil(drained[i] / du - 1e-9)) for i in flat]
-        table = svc_tail(du * (np.arange((x_grid.size - 1) * r + max(steps, default=0)) + 0.5))
-    size = 4 * _cpus() if lattice else max(flat.size, 1)
-
-    def block(key):
-        a = key[1]
-        for row, i in enumerate(flat[a : a + size], start=a):
-            if i == 0:
-                continue
-            if lattice is None:
-                db = np.diff(started[: i + 1])
-                lag = drained[i] - 0.5 * (drained[:i] + drained[1 : i + 1])
-                width = max(1, MAX_TABLE_ENTRIES // i)  # i x width arguments per block
-                for c in range(0, x_grid.size, width):
-                    gc = svc_tail(x_grid[None, c : c + width] + lag[:, None])
-                    z[row, c : c + width] += np.einsum("ij,i->j", gc, db)
-            else:
-                nodes = drained[i] - du * np.arange(steps[row] + 1)
-                nodes[-1] = 0.0  # the last interval ends where the drain starts
-                b = np.interp(nodes, drained[: i + 1], started[: i + 1])
-                hankel = as_strided(table, shape=(x_grid.size, steps[row]),
-                                    strides=(r * table.itemsize, table.itemsize), writeable=False)
-                z[row] += hankel @ (b[:-1] - b[1:])
-        return z[a : a + size]
-
+        intervals = [int(math.ceil(drained[i] / du - 1e-9)) for i in flat]
+        table = svc_tail(du * (np.arange((x_grid.size - 1) * r + max(intervals, default=0)) + 0.5))
+    widest, size = max(intervals, default=0), 4 * _cpus()
+    width = max(1, MAX_TABLE_ENTRIES // max(widest, 1))
     keys = [(flat[min(a + size, flat.size) - 1], a) for a in range(0, flat.size, size)]
-    return np.concatenate([z[:0], *run_jobs(block, keys)]).reshape(rows.shape + x_grid.shape)
+    for cols in (slice(c, c + width) for c in range(0, x_grid.size, width)):
+        if lattice is not None:
+            lag = np.ascontiguousarray(sliding_window_view(table, widest)[::r][cols].T)
+
+        def block(key):
+            a = key[1]
+            for row, i in enumerate(flat[a : a + size], start=a):
+                if lattice is None:
+                    mid = drained[i] - 0.5 * (drained[:i] + drained[1 : i + 1])
+                    db, gc = np.diff(started[: i + 1]), svc_tail(x_grid[None, cols] + mid[:, None])
+                else:
+                    nodes = drained[i] - du * np.arange(intervals[row] + 1)
+                    nodes[-1] = 0.0  # the last interval ends where the drain starts
+                    b = np.interp(nodes, drained[: i + 1], started[: i + 1])
+                    db, gc = b[:-1] - b[1:], lag[: intervals[row]]
+                z[row, cols] += np.einsum("ij,i->j", gc, db)
+            return z[a : a + size, cols]
+
+        z[:, cols] = np.concatenate([z[:0, cols], *run_jobs(block, keys)])
+    return z.reshape(rows.shape + x_grid.shape)
 
 
 def _grid_index(times: np.ndarray, t: float) -> int:
@@ -639,7 +639,7 @@ def solve(params: FluidParams, x_grid, surface_times=None) -> FluidSolution:
     surface = tail_on_grid(params, drained, started, idx, x_grid)
 
     # identity checks on the stored rows
-    if np.min(surface) < -1e-9:
+    if np.min(surface, initial=0.0) < -1e-9:
         raise FluidAccuracyError("negative tail mass; refine dt")
     if np.max(np.diff(surface, axis=1), initial=0.0) > 1e-9:
         raise FluidAccuracyError("tail surface increases in x; refine dt")
@@ -648,7 +648,7 @@ def solve(params: FluidParams, x_grid, surface_times=None) -> FluidSolution:
         10.0 * dt * params.arrival_rate * params.service.density_bound,
     ) + 10.0 * dt * params.initial_tail.lipschitz * params.rate.bound
     in_service = np.minimum(count[idx], 1.0)
-    if x_grid[0] == 0.0 and np.max(np.abs(surface[:, 0] - in_service)) > z0_slack:
+    if x_grid[0] == 0.0 and np.max(np.abs(surface[:, 0] - in_service), initial=0.0) > z0_slack:
         raise FluidAccuracyError("tail at 0 disagrees with min(count, 1); refine dt")
 
     return FluidSolution(

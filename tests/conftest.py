@@ -17,6 +17,7 @@ FLUID_SCENARIOS = (
     "zero_arrivals",
     "warm_start",
     "queue_start",
+    "zero_floor_rate",
 )
 ALL_SCENARIOS = FLUID_SCENARIOS + ("deterministic_service",)
 

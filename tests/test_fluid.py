@@ -313,7 +313,16 @@ class TestInvariantState:
     bound is about 4 times its T = 15 gap.  The tail gap is the
     quadrature's: 1.3e-7, 3.2e-8 and 8.1e-9 at dt 4e-3, 2e-3 and 1e-3 for
     both lam and T = 10, 15 and 20, second order in dt, so its bound is
-    about twice the dt 2e-3 gap and below the dt 4e-3 one."""
+    about twice the dt 2e-3 gap and below the dt 4e-3 one.
+
+    Started at the invariant state, with the tail z* tabulated on a grid
+    of step h and q0 = (X* - 1)^+, the path stays at X* up to the error of
+    the piecewise-linear initial tail.  At T = 5 and dt 1e-3, sup_t |X - X*|
+    is 2.1e-4, 8.3e-6 and 3.2e-7 at h = 0.05, 0.01 and 0.002 for lam = 1.2
+    and 2.3e-4, 9.2e-6 and 3.5e-7 for lam = 1.6.  The surface's distance
+    from z* is 2.3e-4, 9.2e-6 and 3.6e-7 for lam = 1.2 and 2.3e-4, 5.6e-6
+    and 3.3e-7 for lam = 1.6.  Both fall as C h^2 with C between 0.056 and
+    0.093, so both bounds are 0.1 h^2 at h = 0.002."""
 
     @pytest.mark.parametrize("lam, count_bound", [(1.2, 1e-9), (1.6, 3e-6)])
     def test_empty_start_reaches_the_invariant_state(self, lam, count_bound):
@@ -329,6 +338,23 @@ class TestInvariantState:
         z = fm.tail_on_grid(p, drained, started, p.steps, xs)
         z_star = min(x_star, 1.0) * lognormal_excess_tail(xs, 0.0, 0.5)
         assert np.max(np.abs(z - z_star)) <= 6.5e-8
+
+    @pytest.mark.parametrize("lam", [1.2, 1.6])
+    def test_invariant_start_stays_at_the_invariant_state(self, lam):
+        rate, h = capped_linear_rate(0.5, 1.0, 2.0), 0.002
+        x_star = invariant_count(lam, math.exp(0.125), rate)
+        grid = h * np.arange(10001)  # to x = 20, past x_max + K(T)
+        tail0 = TailFunction(grid, min(x_star, 1.0) * lognormal_excess_tail(grid, 0.0, 0.5))
+        p = params_for(lam, service=make_lognormal(0.0, 0.5), rate=rate,
+                       initial_tail=tail0, q0=max(x_star - 1.0, 0.0))
+        x, diag = fm.solve_count_path(p)
+        assert diag.march == "drain"
+        assert np.max(np.abs(x - x_star)) <= 0.1 * h * h
+        drained = fm.cumulative_drain(x, rate, p.dt_effective)
+        _, started = fm.queue_and_starts(x, lam, p.times)
+        z = fm.tail_on_grid(p, drained, started, np.arange(0, p.steps + 1, 50), XS)
+        z_star = min(x_star, 1.0) * lognormal_excess_tail(XS, 0.0, 0.5)
+        assert np.max(np.abs(z - z_star)) <= 0.1 * h * h
 
 
 class TestDrainAndStarts:
@@ -456,23 +482,57 @@ class TestTailSurface:
             assert row.tolist() == fm.tail_on_grid(p, drained, started, i, xs).tolist()
 
     def test_rows_do_not_depend_on_the_cpu_count(self, monkeypatch):
-        # the rows go out in blocks on forked workers; each row is the one
-        # computed alone, and no worker outlives the call
-        p = params_for(1.2, horizon=2.0, dt=2e-3, rate=capped_linear_rate(0.5, 1.0, 2.0))
-        x, _ = fm.solve_count_path(p)
-        drained = fm.cumulative_drain(x, p.rate, p.dt_effective)
-        _, started = fm.queue_and_starts(x, p.arrival_rate, p.times)
-        xs = 0.25 * np.arange(13)
-        idx = np.arange(0, p.steps + 1, 10)
-        alone = [fm.tail_on_grid(p, drained, started, i, xs).tolist() for i in idx]
+        # the rows go out in blocks on forked workers, on the drain lattice
+        # and on the time grid (capped_linear_zero of the oracle test above)
+        # alike; each row is the one computed alone, and no worker outlives
+        # the call
         run_jobs, jobs = fm.run_jobs, []
         monkeypatch.setattr(fm, "run_jobs", lambda fn, keys: jobs.append(len(keys)) or run_jobs(fn, keys))
-        for cpus in (1, 2, 5):
-            monkeypatch.setattr(fm, "_cpus", lambda: cpus)
-            assert fm.tail_on_grid(p, drained, started, idx, xs).tolist() == alone
-            pytest.raises(ChildProcessError, os.waitpid, -1, os.WNOHANG)
-            assert jobs.pop() > cpus  # more blocks than workers
-        assert jobs == []
+        for base, service, lattice in ((0.5, make_exponential(1.0), True),
+                                       (0.0, make_lognormal(0.0, 0.5), False)):
+            p = params_for(1.2, horizon=2.0, dt=2e-3, service=service,
+                           rate=capped_linear_rate(base, 1.0, 2.0))
+            x, _ = fm.solve_count_path(p)
+            drained = fm.cumulative_drain(x, p.rate, p.dt_effective)
+            _, started = fm.queue_and_starts(x, p.arrival_rate, p.times)
+            xs = 0.25 * np.arange(13)
+            assert (fm._drain_lattice(p, xs, 0.0) is not None) == lattice
+            idx = np.arange(0, p.steps + 1, 10)
+            alone = [fm.tail_on_grid(p, drained, started, i, xs).tolist() for i in idx]
+            jobs.clear()
+            for cpus in (1, 2, 5):
+                monkeypatch.setattr(fm, "_cpus", lambda: cpus)
+                assert fm.tail_on_grid(p, drained, started, idx, xs).tolist() == alone
+                pytest.raises(ChildProcessError, os.waitpid, -1, os.WNOHANG)
+                assert jobs.pop() > cpus  # more blocks than workers
+            assert jobs == []
+
+    def test_short_lattice_row_is_an_ordered_sum(self, solved):
+        # state_dependent's row at t = 0.05 has at most r lattice intervals,
+        # a layout BLAS would take for a gemv; the stored floats are a plain
+        # left-to-right sum over the intervals, after the initial tail
+        scenario, p, sol = solved("state_dependent")
+        xs, i = scenario.x_grid(), fm._grid_index(sol.times, 0.05)
+        du, r = fm._drain_lattice(p, xs, float(sol.drained[-1]))
+        steps = math.ceil(sol.drained[i] / du - 1e-9)
+        assert 0 < steps <= r
+        nodes = sol.drained[i] - du * np.arange(steps + 1)
+        nodes[-1] = 0.0
+        b = np.interp(nodes, sol.drained[: i + 1], sol.started[: i + 1]).tolist()
+        gc = p.service.tail(du * (np.arange((xs.size - 1) * r + steps) + 0.5)).tolist()
+        row = sol.tail_surface[fm._grid_index(sol.surface_times, 0.05)].tolist()
+        for j in (0, 1, 2, 3, 40, xs.size - 1):
+            total = 0.0
+            for q in range(steps):
+                total += gc[j * r + q] * (b[q] - b[q + 1])
+            assert float(p.initial_tail(xs[j] + sol.drained[i])) + total == row[j]
+
+    def test_no_surface_times_give_an_empty_surface(self, underloaded):
+        p, x, _ = underloaded
+        sol = fm.solve(p, XS, ())
+        assert sol.tail_surface.shape == (0, XS.size)
+        assert sol.surface_times.size == 0
+        assert sol.count.tolist() == x.tolist()
 
     def test_off_grid_time_rejected(self, underloaded):
         p, _, _ = underloaded

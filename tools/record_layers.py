@@ -3,10 +3,11 @@
     python3 tools/record_layers.py --base OTHER_ROOT --out BENCH_<n>.json [--repeats 3]
 
 OTHER_ROOT is a checkout of another commit, made with ``git clone`` or
-``git archive``.  Three probes each run at three sizes:
+``git archive``.  Three probes run at three sizes each, the fluid at four:
 
 - ``fluid``: one ``fluid.solve(params, x_grid=scenario.x_grid())`` on
-  ``state_dependent`` at dt = 2e-3, 1e-3 and 5e-4, under the checkout's own
+  ``state_dependent`` at dt = 2e-3, 1e-3 and 5e-4 and on ``zero_floor_rate``
+  (the time march) at its own dt 2e-3, under the checkout's own
   ``bench/tracer.py`` ``Tracer``; ``layer_metrics`` reads the count path,
   the defect and the tail surface off the spans inside that call, under the
   ``fluid.*`` names that ``bench/run.py --trace 1`` reports.
@@ -117,7 +118,8 @@ def probe_prohorov(root: Path, dump: Path, n: int) -> dict:
 # probe -> (function, sizes, workload, keys that must agree across repeats
 # and checkouts)
 PROBES = {
-    "fluid": (probe_fluid, [("state_dependent", dt) for dt in (2e-3, 1e-3, 5e-4)],
+    "fluid": (probe_fluid, [("state_dependent", dt) for dt in (2e-3, 1e-3, 5e-4)]
+              + [("zero_floor_rate", 2e-3)],
               "fluid.solve on scenarios/<scenario>.scn at dt, traced by bench/tracer.py",
               ("march", "defect", "windows", "picard_iterations")),
     "simulator": (probe_simulator, [(sc, n) for sc in ("state_dependent", "underloaded_exp")
